@@ -34,27 +34,55 @@ fn children<'t>(trace: &'t Trace, root: &'t SpanRecord) -> impl Iterator<Item = 
         .filter(move |s| s.depth == root.depth + 1 && root.contains(s))
 }
 
-/// The innermost `campaign.run` span (if any) enclosing `s` on its thread
-/// — the structure a nested stage belongs to.
-fn enclosing_run<'t>(trace: &'t Trace, s: &SpanRecord) -> Option<&'t SpanRecord> {
+/// Whether `s` is a campaign stage span (every `campaign.*` span except
+/// the per-thread `campaign.worker`).
+fn is_stage(s: &SpanRecord) -> bool {
+    s.name.starts_with("campaign.") && s.name != "campaign.worker"
+}
+
+/// Stage spans enclosing `s` on its thread, outermost first.
+fn enclosing_stages<'t>(
+    trace: &'t Trace,
+    s: &'t SpanRecord,
+) -> impl Iterator<Item = &'t SpanRecord> + 't {
     trace
         .spans
         .iter()
-        .filter(|r| r.name == "campaign.run" && r.depth < s.depth && r.contains(s))
+        .filter(move |r| is_stage(r) && r.depth < s.depth && r.contains(s))
+}
+
+/// The row a stage span is charged to: its own `structure` field, else
+/// that of the innermost enclosing stage span carrying one; else `(cell)`
+/// for the stages a `campaign.cell` shares across its structures (one
+/// convoy classifies them all); else `(shared)` for per-injector set-up.
+fn structure_of<'t>(trace: &'t Trace, s: &'t SpanRecord) -> &'t str {
+    if let Some(structure) = s.str_field("structure") {
+        return structure;
+    }
+    let enclosing: Vec<&SpanRecord> = enclosing_stages(trace, s).collect();
+    let inherited = enclosing
+        .iter()
+        .filter(|r| r.str_field("structure").is_some())
         .max_by_key(|r| r.depth)
+        .and_then(|r| r.str_field("structure"));
+    let in_cell = s.name == "campaign.cell" || enclosing.iter().any(|r| r.name == "campaign.cell");
+    inherited.unwrap_or(if in_cell { "(cell)" } else { "(shared)" })
 }
 
 /// Campaign wall-time by stage and structure.
 ///
 /// Every `campaign.*` span except the per-thread `campaign.worker`
 /// contributes one row keyed by (structure, stage), where *stage* is the
-/// span name minus the `campaign.` prefix — except `campaign.run` itself,
+/// span name minus the `campaign.` prefix — except `campaign.run` (one
+/// structure's sampling and pruning) and `campaign.cell` (the whole run),
 /// whose self time (orchestration not covered by a child stage) shows as
-/// `(untracked)`. Structure comes from the enclosing `campaign.run`'s
-/// `structure` field; the golden run and liveness build happen once per
-/// injector, outside any run, and are attributed to `(shared)`. Worker
-/// spans overlap the classify stage in parallel campaigns, so their time
-/// stays inside `classify` here and is broken out by [`worker_table`].
+/// `(untracked)`. Structure comes from the span's own `structure` field or
+/// the innermost enclosing span's; the classify stage a multi-structure
+/// run shares across its structures is attributed to `(cell)`, and the
+/// golden run and liveness build, which happen once per injector outside
+/// any run, to `(shared)`. Worker spans overlap the classify stage in
+/// parallel campaigns, so their time stays inside `classify` here and is
+/// broken out by [`worker_table`].
 ///
 /// Because rows carry self time, they sum *exactly* to the trailing
 /// `total` row (the summed durations of the top-level campaign spans):
@@ -69,35 +97,25 @@ pub fn stage_table(trace: &Trace) -> Table {
     // row order deterministic.
     let mut rows: BTreeMap<(String, String), (u64, u64)> = BTreeMap::new();
     let mut total_ns = 0u64;
-    for s in &trace.spans {
-        if !s.name.starts_with("campaign.") || s.name == "campaign.worker" {
-            continue;
-        }
+    for s in trace.spans.iter().filter(|s| is_stage(s)) {
         let child_ns: u64 = children(trace, s)
             .filter(|c| c.name != "campaign.worker")
             .map(|c| c.dur_ns)
             .sum();
         let self_ns = s.dur_ns.saturating_sub(child_ns);
-        let structure = enclosing_run(trace, s)
-            .or(Some(s).filter(|s| s.name == "campaign.run"))
-            .and_then(|r| r.str_field("structure"))
-            .unwrap_or("(shared)")
-            .to_string();
+        let structure = structure_of(trace, s).to_string();
         let stage = match s.name {
-            "campaign.run" => "(untracked)".to_string(),
+            "campaign.run" | "campaign.cell" => "(untracked)".to_string(),
             name => name.trim_start_matches("campaign.").to_string(),
         };
         let slot = rows.entry((structure, stage)).or_insert((0, 0));
         slot.0 += 1;
         slot.1 += self_ns;
-        // Self times telescope: summing every non-worker campaign span's
-        // self time equals summing the campaign-family roots' durations
-        // (the golden run and liveness build precede the run; everything
-        // else nests inside one of the three).
-        if matches!(
-            s.name,
-            "campaign.run" | "campaign.golden" | "campaign.liveness"
-        ) {
+        // Self times telescope: summing every stage span's self time
+        // equals summing the durations of the stage spans no other stage
+        // span encloses (the golden run, the liveness build when it is
+        // not built lazily inside a run, and each run).
+        if enclosing_stages(trace, s).next().is_none() {
             total_ns += s.dur_ns;
         }
     }
@@ -261,23 +279,23 @@ mod tests {
     #[test]
     fn stage_rows_sum_exactly_to_the_total_row() {
         const MS: u64 = 1_000_000;
+        let structure = |name: &str| vec![("structure", FieldValue::Str(name.into()))];
         let t = trace(vec![
             span("campaign.golden", 0, 100 * MS, 0, 0, vec![]),
             span("campaign.liveness", 100 * MS, 200 * MS, 0, 0, vec![]),
             span("campaign.masks", 150 * MS, 50 * MS, 0, 1, vec![]),
-            span(
-                "campaign.run",
-                300 * MS,
-                1000 * MS,
-                0,
-                0,
-                vec![("structure", FieldValue::Str("rf".into()))],
-            ),
-            span("campaign.sample", 310 * MS, 100 * MS, 0, 1, vec![]),
+            // A two-structure run: per-structure sampling, then one
+            // classify stage shared by both, then rf's verify stage.
+            span("campaign.cell", 300 * MS, 1000 * MS, 0, 0, vec![]),
+            span("campaign.run", 310 * MS, 60 * MS, 0, 1, structure("rf")),
+            span("campaign.sample", 310 * MS, 50 * MS, 0, 2, vec![]),
+            span("campaign.run", 370 * MS, 60 * MS, 0, 1, structure("rob.pc")),
+            span("campaign.sample", 375 * MS, 40 * MS, 0, 2, vec![]),
             span("campaign.classify", 450 * MS, 700 * MS, 0, 1, vec![]),
             // Inline worker (threads = 1): nested under classify, must not
             // be subtracted from classify's self time or get its own row.
             span("campaign.worker", 460 * MS, 600 * MS, 0, 2, vec![]),
+            span("campaign.verify", 1160 * MS, 30 * MS, 0, 1, structure("rf")),
         ]);
         let table = stage_table(&t);
         let csv = table.to_csv();
@@ -290,22 +308,27 @@ mod tests {
             !csv.contains("worker"),
             "worker spans belong to worker_table: {csv}"
         );
-        let ms_of = |stage: &str| -> f64 {
+        let ms_of = |structure: &str, stage: &str| -> f64 {
             rows.iter()
-                .find(|r| r[1] == stage)
-                .unwrap_or_else(|| panic!("missing stage {stage} in {csv}"))[3]
+                .find(|r| r[0] == structure && r[1] == stage)
+                .unwrap_or_else(|| panic!("missing row {structure},{stage} in {csv}"))[3]
                 .parse()
                 .unwrap()
         };
-        // Self times: golden 100, liveness 200-50, masks 50, sample 100,
-        // classify 700 (worker stays inside), untracked 1000-100-700.
-        assert_eq!(ms_of("golden"), 100.0);
-        assert_eq!(ms_of("liveness"), 150.0);
-        assert_eq!(ms_of("masks"), 50.0);
-        assert_eq!(ms_of("sample"), 100.0);
-        assert_eq!(ms_of("classify"), 700.0);
-        assert_eq!(ms_of("(untracked)"), 200.0);
-        let total = ms_of("total");
+        // Self times: golden 100, liveness 200-50, masks 50, samples 50
+        // and 40, runs 60-50 and 60-40, classify 700 (worker stays
+        // inside), verify 30, cell 1000-60-60-700-30.
+        assert_eq!(ms_of("(shared)", "golden"), 100.0);
+        assert_eq!(ms_of("(shared)", "liveness"), 150.0);
+        assert_eq!(ms_of("(shared)", "masks"), 50.0);
+        assert_eq!(ms_of("rf", "sample"), 50.0);
+        assert_eq!(ms_of("rob.pc", "sample"), 40.0);
+        assert_eq!(ms_of("rf", "(untracked)"), 10.0);
+        assert_eq!(ms_of("rob.pc", "(untracked)"), 20.0);
+        assert_eq!(ms_of("(cell)", "classify"), 700.0);
+        assert_eq!(ms_of("rf", "verify"), 30.0);
+        assert_eq!(ms_of("(cell)", "(untracked)"), 150.0);
+        let total = ms_of("", "total");
         let sum: f64 = rows
             .iter()
             .filter(|r| r[1] != "total")
@@ -314,9 +337,27 @@ mod tests {
         assert!((sum - total).abs() < 1e-9, "stages {sum} != total {total}");
         // 100 + 200 + 1000 ms.
         assert_eq!(total, 1300.0);
-        // Nested stages carry the run's structure; shared setup does not.
-        assert!(csv.contains("rf,classify"));
-        assert!(csv.contains("(shared),golden"));
+    }
+
+    #[test]
+    fn one_structure_runs_charge_every_stage_to_their_structure() {
+        const MS: u64 = 1_000_000;
+        let structure = vec![("structure", FieldValue::Str("rf".into()))];
+        let t = trace(vec![
+            span("campaign.cell", 0, 100 * MS, 0, 0, structure.clone()),
+            span("campaign.run", 0, 10 * MS, 0, 1, structure),
+            // Built lazily by the first pruning stage: nested, so it is
+            // charged to rf and not counted twice in the total.
+            span("campaign.liveness", 2 * MS, 5 * MS, 0, 2, vec![]),
+            span("campaign.classify", 10 * MS, 80 * MS, 0, 1, vec![]),
+        ]);
+        let csv = stage_table(&t).to_csv();
+        assert!(csv.contains("rf,classify,1,80.000"), "{csv}");
+        assert!(csv.contains("rf,liveness,1,5.000"), "{csv}");
+        // Cell self time 100-10-80 plus run self time 10-5.
+        assert!(csv.contains("rf,(untracked),2,15.000"), "{csv}");
+        assert!(!csv.contains("(cell)"), "{csv}");
+        assert!(csv.lines().last().unwrap().contains(",100.000,"), "{csv}");
     }
 
     #[test]

@@ -10,11 +10,11 @@
 //!   the golden run length; the pruned variant additionally classifies
 //!   faults outside every live window as Masked without forking a child
 //!   at all. This trio is the headline before/after number for the
-//!   campaign engine. The `cow` rows measure the same convoy engine with
-//!   copy-on-write forking called out explicitly — one for the RegFile
-//!   campaign and one for an `l1d.data` campaign, where each fork
-//!   previously deep-copied the full cache tag+data arrays and now shares
-//!   every chunk with the golden simulator until somebody writes it.
+//!   campaign engine. The `l1d_campaign` rows compare the fresh engine
+//!   with the copy-on-write convoy on an `l1d.data` campaign, where each
+//!   fork previously deep-copied the full cache tag+data arrays and now
+//!   shares every chunk with the golden simulator until somebody writes
+//!   it.
 //! * `single_injection` — the unit cost of one from-scratch injection
 //!   (golden positioning + flip + run-to-outcome) across structures.
 
@@ -45,9 +45,6 @@ fn bench_campaign(c: &mut Criterion) {
         // composed on top: faults inside live windows whose bits every
         // covering writeback provably never demands are also skipped.
         ("static-pruned", true, PruneMode::On, PruneMode::On),
-        // Same engine as `checkpoint`, recorded under the storage scheme's
-        // own name so the COW fork cost is a tracked series of its own.
-        ("cow", true, PruneMode::Off, PruneMode::Off),
     ] {
         group.bench_with_input(
             BenchmarkId::new("rf_campaign", label),

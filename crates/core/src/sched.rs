@@ -56,10 +56,12 @@ pub(crate) fn run_cell(
         threads: cfg.threads,
         checkpoint: cfg.checkpoint,
     };
-    let campaigns: Vec<CampaignResult> = cfg
-        .structures
-        .iter()
-        .map(|&s| injector.run(s, &campaign_cfg).execute().result)
+    // One golden convoy classifies every structure's faults.
+    let campaigns: Vec<CampaignResult> = injector
+        .run_all(&cfg.structures, &campaign_cfg)
+        .execute_all()
+        .into_iter()
+        .map(|out| out.result)
         .collect();
     let golden = injector.golden();
     Ok(CellResult {

@@ -9,6 +9,7 @@ use serde::{Deserialize, Serialize};
 use softerr_isa::Program;
 use softerr_sim::{LivenessMap, MachineConfig, Sim, SimOutcome, Structure};
 use softerr_telemetry::{event, span, Level, Span};
+use std::borrow::Cow;
 use std::collections::HashSet;
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -522,8 +523,8 @@ impl<'a> Injector<'a> {
         }
     }
 
-    /// Starts configuring a campaign on one structure — the single entry
-    /// point every campaign flavour goes through.
+    /// Starts configuring a campaign on one structure: the one-structure
+    /// case of [`Injector::run_all`].
     ///
     /// The returned [`CampaignRun`] builder selects the optional extras the
     /// old `campaign_*` method family hard-coded into separate entry
@@ -539,9 +540,24 @@ impl<'a> Injector<'a> {
     ///     .execute();
     /// ```
     pub fn run<'r>(&'r self, structure: Structure, cfg: &CampaignConfig) -> CampaignRun<'r, 'a> {
+        self.run_all(&[structure], cfg)
+    }
+
+    /// Starts configuring one campaign per structure, all classified by a
+    /// single golden convoy: each structure is sampled, weighted and pruned
+    /// on its own (same RNG streams as [`Injector::run`]), the survivors of
+    /// every structure are classified in one pass that advances the golden
+    /// simulator once, and outcomes are split back per structure. Call
+    /// [`CampaignRun::execute_all`] to run it; per-fault classes equal
+    /// those of separate one-structure runs.
+    pub fn run_all<'r>(
+        &'r self,
+        structures: &[Structure],
+        cfg: &CampaignConfig,
+    ) -> CampaignRun<'r, 'a> {
         CampaignRun {
             injector: self,
-            structure,
+            structures: structures.to_vec(),
             cfg: *cfg,
             faults: None,
             observer: None,
@@ -684,78 +700,23 @@ impl<'a> Injector<'a> {
         );
         sampler.sample(self, structure, n, seed)
     }
-
-    /// The engine shared by the class-only and recorded paths: classifies
-    /// every fault, notifying `observer` per verdict, and (in `record`
-    /// mode, which forces the convoy engine) capturing forensic context.
-    fn classify_outcomes(
-        &self,
-        faults: &[FaultSpec],
-        width: u8,
-        cfg: &CampaignConfig,
-        record: bool,
-        observer: Option<&dyn CampaignObserver>,
-        propagation: Option<(u64, u64)>,
-    ) -> Vec<Outcome> {
-        let convoy = record || cfg.checkpoint;
-        let mut sp = span("campaign.classify");
-        sp.record("faults", faults.len());
-        sp.record("engine", if convoy { "convoy" } else { "fresh" });
-        sp.record("threads", cfg.threads);
-        let mut order: Vec<usize> = (0..faults.len()).collect();
-        if convoy {
-            // Stable, so same-cycle faults keep their sample order.
-            order.sort_by_key(|&i| faults[i].cycle);
-        }
-        let next = AtomicUsize::new(0);
-        let engine = Engine {
-            inj: self,
-            faults,
-            order: &order,
-            next: &next,
-            width,
-            record,
-            observer,
-            propagation,
-        };
-        let run_worker = || {
-            if convoy {
-                engine.convoy_worker()
-            } else {
-                engine.fresh_worker()
-            }
-        };
-        let parts: Vec<Vec<(usize, Outcome)>> = if cfg.threads <= 1 {
-            vec![run_worker()]
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..cfg.threads).map(|_| scope.spawn(run_worker)).collect();
-                handles
-                    .into_iter()
-                    .map(|h| h.join().expect("injection worker panicked"))
-                    .collect()
-            })
-        };
-        let mut outcomes = vec![Outcome::masked_at(0); faults.len()];
-        for (slot, outcome) in parts.into_iter().flatten() {
-            outcomes[slot] = outcome;
-        }
-        outcomes
-    }
 }
 
-/// A configured-but-not-yet-executed campaign, built by [`Injector::run`].
+/// A configured-but-not-yet-executed campaign on one structure
+/// ([`Injector::run`]) or on several over one golden convoy
+/// ([`Injector::run_all`]).
 ///
 /// Defaults: single-bit upsets, faults sampled from the config's
 /// `(injections, seed)`, no observer, no forensic records. Each builder
-/// method opts into one extra; [`CampaignRun::execute`] runs the campaign
-/// on the engine selected by the config (`checkpoint`, `threads`).
-/// Classification is bit-identical across every combination of extras —
-/// observers and records never perturb the engine's verdicts.
+/// method opts into one extra; [`CampaignRun::execute`] (one structure) or
+/// [`CampaignRun::execute_all`] runs the campaign on the engine selected
+/// by the config (`checkpoint`, `threads`). Classification is
+/// bit-identical across every combination of extras — observers and
+/// records never perturb the engine's verdicts.
 #[must_use = "a CampaignRun does nothing until `.execute()` is called"]
 pub struct CampaignRun<'r, 'a> {
     injector: &'r Injector<'a>,
-    structure: Structure,
+    structures: Vec<Structure>,
     cfg: CampaignConfig,
     faults: Option<&'r [FaultSpec]>,
     observer: Option<&'r dyn CampaignObserver>,
@@ -763,6 +724,32 @@ pub struct CampaignRun<'r, 'a> {
     burst_width: u8,
     /// `(every, one_in)` propagation sampling, see [`CampaignRun::propagation`].
     propagation: Option<(u64, u64)>,
+}
+
+/// One structure's share of a run, between sampling and classification.
+struct Planned<'r> {
+    structure: Structure,
+    faults: Cow<'r, [FaultSpec]>,
+    weight: f64,
+    live_population: Option<u64>,
+    /// (liveness-pruned, static-pruned) per fault, mutually exclusive;
+    /// empty when nothing is pruned.
+    pruned: Vec<(bool, bool)>,
+}
+
+impl Planned<'_> {
+    fn is_pruned(&self, i: usize) -> bool {
+        self.pruned.get(i).is_some_and(|&(d, s)| d || s)
+    }
+
+    /// The faults the engine must classify, in sample order.
+    fn survivors(&self) -> impl Iterator<Item = FaultSpec> + '_ {
+        self.faults
+            .iter()
+            .enumerate()
+            .filter(|&(i, _)| !self.is_pruned(i))
+            .map(|(_, &f)| f)
+    }
 }
 
 impl<'r, 'a> CampaignRun<'r, 'a> {
@@ -793,6 +780,7 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
     /// Classifies exactly `faults` (in input order) instead of sampling
     /// from the config's `(injections, seed)`. The aggregate result is
     /// attributed to the run's structure even if the list mixes targets.
+    /// Only for one-structure runs ([`Injector::run`]).
     pub fn faults(mut self, faults: &'r [FaultSpec]) -> Self {
         self.faults = Some(faults);
         self
@@ -815,194 +803,119 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
         self
     }
 
-    /// Executes the campaign. Under
-    /// [`SamplerKind::ImportanceVerify`] the importance campaign is
+    /// Executes a one-structure run ([`Injector::run`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics on a run over several structures; use
+    /// [`CampaignRun::execute_all`] for those.
+    pub fn execute(self) -> CampaignOutput {
+        assert_eq!(
+            self.structures.len(),
+            1,
+            "execute() runs one structure; use execute_all()"
+        );
+        self.execute_all().pop().expect("one output per structure")
+    }
+
+    /// Executes the run: one [`CampaignOutput`] per structure, in the
+    /// order [`Injector::run_all`] was given. Under
+    /// [`SamplerKind::ImportanceVerify`] each importance campaign is
     /// followed by a uniform reference campaign at the same achieved
     /// margin, and the run panics unless the two AVF estimates agree
     /// within their combined margins (the sampling analogue of
     /// `prune = verify`).
-    pub fn execute(self) -> CampaignOutput {
-        let output = self.run_campaign();
+    ///
+    /// # Panics
+    ///
+    /// Panics when a preset fault list ([`CampaignRun::faults`]) is given
+    /// to a run over several structures.
+    pub fn execute_all(self) -> Vec<CampaignOutput> {
+        assert!(
+            self.faults.is_none() || self.structures.len() == 1,
+            "a preset fault list needs a one-structure run"
+        );
+        let outputs = self.run_campaigns();
         if self.cfg.plan.sampler == SamplerKind::ImportanceVerify && self.faults.is_none() {
-            self.verify_against_uniform(&output);
+            for output in &outputs {
+                self.verify_against_uniform(output);
+            }
         }
-        output
+        outputs
     }
 
-    /// One campaign under the configured plan: sample, prune, classify,
-    /// tally.
-    fn run_campaign(&self) -> CampaignOutput {
+    /// The campaigns under the configured plan: sample and prune each
+    /// structure, classify the union of survivors in one convoy, then
+    /// split outcomes back and tally per structure.
+    fn run_campaigns(&self) -> Vec<CampaignOutput> {
+        let mut cell = span("campaign.cell");
+        cell.record("structures", self.structures.len());
+        // A one-structure run charges all of its stages to the structure;
+        // a shared convoy's classify stage belongs to no one structure.
+        if let [structure] = self.structures[..] {
+            cell.record("structure", structure.name());
+        }
+        let planned: Vec<Planned> = self.structures.iter().map(|&s| self.plan(s)).collect();
+        let survivors: Vec<FaultSpec> = planned.iter().flat_map(Planned::survivors).collect();
+        let mut outcomes = self.classify(&survivors).into_iter();
+        planned
+            .into_iter()
+            .map(|p| {
+                let n = p.survivors().count();
+                self.finish(p, outcomes.by_ref().take(n).collect())
+            })
+            .collect()
+    }
+
+    /// Samples, weights and prunes one structure (its `campaign.run` span).
+    fn plan(&self, structure: Structure) -> Planned<'r> {
         let mut root = span("campaign.run");
-        root.record("structure", self.structure.name());
+        root.record("structure", structure.name());
         // Preset fault lists are the caller's own census — no sampling
         // distribution applies, so they always carry unit weight.
         let importance = self.faults.is_none() && self.cfg.plan.sampler.is_importance();
-        let sampled;
-        let faults: &[FaultSpec] = match self.faults {
-            Some(faults) => faults,
+        let faults = match self.faults {
+            Some(faults) => Cow::Borrowed(faults),
             None => {
                 let mut sp = span("campaign.sample");
-                sampled = self.injector.sample_plan(self.structure, &self.cfg);
+                let sampled = self.injector.sample_plan(structure, &self.cfg);
                 sp.record("faults", sampled.len());
-                &sampled
+                Cow::Owned(sampled)
             }
         };
         root.record("injections", faults.len());
         let (weight, live_population) = if importance {
             let sampler = crate::sampler::ImportanceSampler;
             (
-                sampler.weight(self.injector, self.structure),
-                Some(sampler.population(self.injector, self.structure)),
+                sampler.weight(self.injector, structure),
+                Some(sampler.population(self.injector, structure)),
             )
         } else {
             (1.0, None)
         };
         let prune = self.cfg.plan.prune;
-        let outcomes = if prune.any_verify() {
-            self.execute_verified(faults)
-        } else if prune.any_on() {
-            self.execute_pruned(faults)
+        let pruned = if prune.any_on() && !prune.any_verify() {
+            self.prune(&faults)
         } else {
-            self.injector.classify_outcomes(
-                faults,
-                self.burst_width,
-                &self.cfg,
-                self.record,
-                self.observer,
-                self.propagation,
-            )
+            Vec::new()
         };
-        let mut counts = ClassCounts::default();
-        let mut simulated = 0u64;
-        for outcome in &outcomes {
-            counts.record(outcome.class);
-            if !outcome.pruned && !outcome.pruned_static {
-                simulated += 1;
-            }
-        }
-        let classes: Vec<FaultClass> = outcomes.iter().map(|o| o.class).collect();
-        let records = self.record.then(|| {
-            outcomes
-                .into_iter()
-                .zip(faults)
-                .map(|(outcome, &spec)| FaultRecord {
-                    spec,
-                    class: outcome.class,
-                    end_cycle: outcome.end_cycle,
-                    golden_cycles: self.injector.golden.cycles,
-                    first_divergence: outcome.divergence,
-                    pruned: outcome.pruned,
-                    pruned_static: outcome.pruned_static,
-                    weight,
-                    propagation: outcome.propagation,
-                })
-                .collect()
-        });
-        CampaignOutput {
-            result: CampaignResult {
-                structure: self.structure,
-                bit_population: self.injector.bit_count(self.structure),
-                golden_cycles: self.injector.golden.cycles,
-                counts,
-                weight,
-                live_population,
-            },
-            classes,
-            records,
-            simulated,
+        Planned {
+            structure,
+            faults,
+            weight,
+            live_population,
+            pruned,
         }
     }
 
-    /// The `sampler = importance/verify` equivalence net: re-runs the
-    /// campaign with uniform sampling to the margin the importance
-    /// campaign achieved and panics unless the two AVF estimates agree
-    /// within their combined 99% margins. An importance campaign whose
-    /// subpopulation is empty proved AVF = 0 exactly and needs no
-    /// reference run (a uniform campaign to margin 0 would be a census).
-    fn verify_against_uniform(&self, output: &CampaignOutput) {
-        let result = &output.result;
-        let margin = result.margin_99();
-        let mut sp = span("campaign.sampling_verify");
-        sp.record("structure", self.structure.name());
-        if result.live_population == Some(0) || !margin.is_finite() || margin <= 0.0 {
-            event!(
-                Level::Info,
-                "inject.sampling",
-                { structure: format!("{:?}", self.structure) },
-                "sampling verification skipped: importance estimate is exact \
-                 (empty live subpopulation)"
-            );
-            return;
-        }
-        let uniform_cfg = CampaignConfig {
-            plan: SamplingPlan {
-                sampler: SamplerKind::Uniform,
-                stop: StopRule::TargetMargin {
-                    target: margin,
-                    batch: crate::sampler::stop_batch(&self.cfg.plan),
-                },
-                prune: self.cfg.plan.prune,
-            },
-            ..self.cfg
-        };
-        let uniform = self
-            .injector
-            .run(self.structure, &uniform_cfg)
-            .burst_width(self.burst_width)
-            .execute();
-        let (avf_i, avf_u) = (result.avf(), uniform.result.avf());
-        let combined = margin + uniform.result.margin_99();
-        sp.record("delta", format!("{:.6}", (avf_i - avf_u).abs()));
-        if (avf_i - avf_u).abs() > combined {
-            event!(
-                Level::Error,
-                "inject.sampling",
-                {
-                    structure: format!("{:?}", self.structure),
-                    importance_avf: avf_i,
-                    uniform_avf: avf_u,
-                    combined_margin: combined
-                },
-                "sampling verification failed: importance AVF {:.4} vs uniform \
-                 AVF {:.4} differ beyond the combined margin {:.4}",
-                avf_i,
-                avf_u,
-                combined
-            );
-            panic!(
-                "sampling verification failed on {:?}: importance AVF {avf_i:.4} \
-                 (±{margin:.4}) vs uniform AVF {avf_u:.4} differ beyond the \
-                 combined 99% margin {combined:.4}",
-                self.structure
-            );
-        }
-        event!(
-            Level::Info,
-            "inject.sampling",
-            {
-                structure: format!("{:?}", self.structure),
-                importance_avf: avf_i,
-                uniform_avf: avf_u,
-                combined_margin: combined
-            },
-            "importance AVF {:.4} agrees with uniform AVF {:.4} within the \
-             combined margin {:.4}",
-            avf_i,
-            avf_u,
-            combined
-        );
-    }
-
-    /// `prune = on` and/or `prune_static = on`: classifies prunable faults
-    /// as Masked without simulating them and runs only the survivors
-    /// through the engine, scattering both back into sample order. A fault
-    /// both stages could prune is attributed to the dynamic liveness
-    /// pruner (the cheaper proof).
-    fn execute_pruned(&self, faults: &[FaultSpec]) -> Vec<Outcome> {
+    /// `prune = on` and/or `prune_static = on`: flags the faults a pruner
+    /// proves Masked, so only the rest reach the engine. A fault both
+    /// stages could prune is attributed to the dynamic liveness pruner
+    /// (the cheaper proof).
+    fn prune(&self, faults: &[FaultSpec]) -> Vec<(bool, bool)> {
         let mut sp = span("campaign.prune");
         let dyn_on = self.cfg.plan.prune.liveness == PruneMode::On;
         let static_on = self.cfg.plan.prune.demand == PruneMode::On;
-        // (liveness-pruned, static-pruned) per fault, mutually exclusive.
         let flags: Vec<(bool, bool)> = faults
             .iter()
             .map(|&f| {
@@ -1011,17 +924,11 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
                 (d, s)
             })
             .collect();
-        let survivors: Vec<FaultSpec> = faults
-            .iter()
-            .zip(&flags)
-            .filter(|&(_, &(d, s))| !d && !s)
-            .map(|(&f, _)| f)
-            .collect();
         let dyn_n = flags.iter().filter(|&&(d, _)| d).count();
         let static_n = flags.iter().filter(|&&(_, s)| s).count();
         sp.record("pruned", dyn_n);
         sp.record("pruned_static", static_n);
-        sp.record("survivors", survivors.len());
+        sp.record("survivors", faults.len() - dyn_n - static_n);
         drop(sp);
         if let Some(&first) = faults.first() {
             event!(
@@ -1041,73 +948,231 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
                 static_n
             );
         }
-        let survivor_outcomes = self.injector.classify_outcomes(
-            &survivors,
-            self.burst_width,
-            &self.cfg,
-            self.record,
-            self.observer,
-            self.propagation,
-        );
-        let mut survivor_it = survivor_outcomes.into_iter();
-        faults
-            .iter()
-            .zip(&flags)
-            .map(|(fault, &(d, s))| {
-                if d || s {
-                    if let Some(observer) = self.observer {
-                        observer.fault_classified(FaultClass::Masked);
-                    }
-                    if d {
-                        Outcome::pruned_at(fault.cycle)
-                    } else {
-                        Outcome::pruned_static_at(fault.cycle)
-                    }
-                } else {
-                    survivor_it.next().expect("one engine outcome per survivor")
-                }
-            })
-            .collect()
+        flags
     }
 
-    /// `prune = verify` and/or `prune_static = verify`: simulates every
-    /// fault exactly like `off`, then asserts that each prunable one really
-    /// classified as Masked — per stage whose knob asked for verification.
-    /// A mismatch means an unsound prune window (or demand mask) — a
-    /// correctness bug — so it panics rather than returning tainted
-    /// tallies.
-    fn execute_verified(&self, faults: &[FaultSpec]) -> Vec<Outcome> {
-        let outcomes = self.injector.classify_outcomes(
-            faults,
-            self.burst_width,
-            &self.cfg,
-            self.record,
-            self.observer,
-            self.propagation,
-        );
-        if self.cfg.plan.prune.liveness == PruneMode::Verify {
-            self.verify_stage(faults, &outcomes, "liveness", |f| {
-                self.injector.prunable(f, self.burst_width)
-            });
+    /// The engine shared by the class-only and recorded paths: classifies
+    /// every fault, notifying the observer per verdict, and (in `record`
+    /// mode, which forces the convoy engine) capturing forensic context.
+    /// Faults may mix structures; the convoy advances one golden simulator
+    /// across all of them in cycle order.
+    fn classify(&self, faults: &[FaultSpec]) -> Vec<Outcome> {
+        let convoy = self.record || self.cfg.checkpoint;
+        let mut sp = span("campaign.classify");
+        sp.record("faults", faults.len());
+        sp.record("engine", if convoy { "convoy" } else { "fresh" });
+        sp.record("threads", self.cfg.threads);
+        let mut order: Vec<usize> = (0..faults.len()).collect();
+        if convoy {
+            // Stable, so same-cycle faults keep their sample order.
+            order.sort_by_key(|&i| faults[i].cycle);
         }
-        if self.cfg.plan.prune.demand == PruneMode::Verify {
-            self.verify_stage(faults, &outcomes, "static", |f| {
-                self.injector.prunable_static(f, self.burst_width)
-            });
+        let next = AtomicUsize::new(0);
+        let engine = Engine {
+            inj: self.injector,
+            faults,
+            order: &order,
+            next: &next,
+            width: self.burst_width,
+            record: self.record,
+            observer: self.observer,
+            propagation: self.propagation,
+        };
+        let run_worker = || {
+            if convoy {
+                engine.convoy_worker()
+            } else {
+                engine.fresh_worker()
+            }
+        };
+        let parts: Vec<Vec<(usize, Outcome)>> = if self.cfg.threads <= 1 {
+            vec![run_worker()]
+        } else {
+            std::thread::scope(|scope| {
+                let handles: Vec<_> = (0..self.cfg.threads)
+                    .map(|_| scope.spawn(run_worker))
+                    .collect();
+                handles
+                    .into_iter()
+                    .map(|h| h.join().expect("injection worker panicked"))
+                    .collect()
+            })
+        };
+        let mut outcomes = vec![Outcome::masked_at(0); faults.len()];
+        for (slot, outcome) in parts.into_iter().flatten() {
+            outcomes[slot] = outcome;
         }
         outcomes
     }
 
-    /// Asserts every `prunable` fault simulated as Masked; panics on the
-    /// first counterexample.
+    /// Scatters one structure's engine outcomes and pruned verdicts back
+    /// into sample order, runs its verify stages, and tallies it.
+    fn finish(&self, p: Planned<'_>, survivor_outcomes: Vec<Outcome>) -> CampaignOutput {
+        let mut survivor_it = survivor_outcomes.into_iter();
+        let outcomes: Vec<Outcome> = (0..p.faults.len())
+            .map(|i| match p.pruned.get(i) {
+                Some(&(d, s)) if d || s => {
+                    if let Some(observer) = self.observer {
+                        observer.fault_classified(FaultClass::Masked);
+                    }
+                    let cycle = p.faults[i].cycle;
+                    if d {
+                        Outcome::pruned_at(cycle)
+                    } else {
+                        Outcome::pruned_static_at(cycle)
+                    }
+                }
+                _ => survivor_it.next().expect("one engine outcome per survivor"),
+            })
+            .collect();
+        let prune = self.cfg.plan.prune;
+        if prune.liveness == PruneMode::Verify {
+            self.verify_stage(p.structure, &p.faults, &outcomes, "liveness", |f| {
+                self.injector.prunable(f, self.burst_width)
+            });
+        }
+        if prune.demand == PruneMode::Verify {
+            self.verify_stage(p.structure, &p.faults, &outcomes, "static", |f| {
+                self.injector.prunable_static(f, self.burst_width)
+            });
+        }
+        let mut counts = ClassCounts::default();
+        let mut simulated = 0u64;
+        for outcome in &outcomes {
+            counts.record(outcome.class);
+            if !outcome.pruned && !outcome.pruned_static {
+                simulated += 1;
+            }
+        }
+        let classes: Vec<FaultClass> = outcomes.iter().map(|o| o.class).collect();
+        let records = self.record.then(|| {
+            outcomes
+                .into_iter()
+                .zip(p.faults.iter())
+                .map(|(outcome, &spec)| FaultRecord {
+                    spec,
+                    class: outcome.class,
+                    end_cycle: outcome.end_cycle,
+                    golden_cycles: self.injector.golden.cycles,
+                    first_divergence: outcome.divergence,
+                    pruned: outcome.pruned,
+                    pruned_static: outcome.pruned_static,
+                    weight: p.weight,
+                    propagation: outcome.propagation,
+                })
+                .collect()
+        });
+        CampaignOutput {
+            result: CampaignResult {
+                structure: p.structure,
+                bit_population: self.injector.bit_count(p.structure),
+                golden_cycles: self.injector.golden.cycles,
+                counts,
+                weight: p.weight,
+                live_population: p.live_population,
+            },
+            classes,
+            records,
+            simulated,
+        }
+    }
+
+    /// The `sampler = importance/verify` equivalence net: re-runs the
+    /// campaign with uniform sampling to the margin the importance
+    /// campaign achieved and panics unless the two AVF estimates agree
+    /// within their combined 99% margins. An importance campaign whose
+    /// subpopulation is empty proved AVF = 0 exactly and needs no
+    /// reference run (a uniform campaign to margin 0 would be a census).
+    fn verify_against_uniform(&self, output: &CampaignOutput) {
+        let result = &output.result;
+        let structure = result.structure;
+        let margin = result.margin_99();
+        let mut sp = span("campaign.sampling_verify");
+        sp.record("structure", structure.name());
+        if result.live_population == Some(0) || !margin.is_finite() || margin <= 0.0 {
+            event!(
+                Level::Info,
+                "inject.sampling",
+                { structure: format!("{structure:?}") },
+                "sampling verification skipped: importance estimate is exact \
+                 (empty live subpopulation)"
+            );
+            return;
+        }
+        let uniform_cfg = CampaignConfig {
+            plan: SamplingPlan {
+                sampler: SamplerKind::Uniform,
+                stop: StopRule::TargetMargin {
+                    target: margin,
+                    batch: crate::sampler::stop_batch(&self.cfg.plan),
+                },
+                prune: self.cfg.plan.prune,
+            },
+            ..self.cfg
+        };
+        let uniform = self
+            .injector
+            .run(structure, &uniform_cfg)
+            .burst_width(self.burst_width)
+            .execute();
+        let (avf_i, avf_u) = (result.avf(), uniform.result.avf());
+        let combined = margin + uniform.result.margin_99();
+        sp.record("delta", format!("{:.6}", (avf_i - avf_u).abs()));
+        if (avf_i - avf_u).abs() > combined {
+            event!(
+                Level::Error,
+                "inject.sampling",
+                {
+                    structure: format!("{structure:?}"),
+                    importance_avf: avf_i,
+                    uniform_avf: avf_u,
+                    combined_margin: combined
+                },
+                "sampling verification failed: importance AVF {:.4} vs uniform \
+                 AVF {:.4} differ beyond the combined margin {:.4}",
+                avf_i,
+                avf_u,
+                combined
+            );
+            panic!(
+                "sampling verification failed on {:?}: importance AVF {avf_i:.4} \
+                 (±{margin:.4}) vs uniform AVF {avf_u:.4} differ beyond the \
+                 combined 99% margin {combined:.4}",
+                structure
+            );
+        }
+        event!(
+            Level::Info,
+            "inject.sampling",
+            {
+                structure: format!("{structure:?}"),
+                importance_avf: avf_i,
+                uniform_avf: avf_u,
+                combined_margin: combined
+            },
+            "importance AVF {:.4} agrees with uniform AVF {:.4} within the \
+             combined margin {:.4}",
+            avf_i,
+            avf_u,
+            combined
+        );
+    }
+
+    /// `prune = verify` and/or `prune_static = verify`: every fault was
+    /// simulated exactly like `off`; asserts each `prunable` one classified
+    /// as Masked. A mismatch means an unsound prune window (or demand mask)
+    /// — a correctness bug — so it panics on the first counterexample
+    /// rather than returning tainted tallies.
     fn verify_stage(
         &self,
+        structure: Structure,
         faults: &[FaultSpec],
         outcomes: &[Outcome],
         stage: &str,
         prunable: impl Fn(FaultSpec) -> bool,
     ) {
         let mut sp = span("campaign.verify");
+        sp.record("structure", structure.name());
         sp.record("stage", stage.to_string());
         let mut checked = 0usize;
         for (fault, outcome) in faults.iter().zip(outcomes) {
@@ -1226,7 +1291,7 @@ fn end_cycles(end: &SimOutcome) -> u64 {
     }
 }
 
-/// One `classify_outcomes` invocation's shared context; worker threads run
+/// One `CampaignRun::classify` invocation's shared context; worker threads run
 /// its `convoy_worker`/`fresh_worker` against the common claim index.
 struct Engine<'e, 'a> {
     inj: &'e Injector<'a>,
@@ -1336,9 +1401,9 @@ impl Engine<'_, '_> {
     /// simulator at the injection cycle ([`Sim::state_divergence`]) to name
     /// the first corrupted component; a fork whose state is *equal* to the
     /// golden state (the flip landed in execution-dead bits, e.g. a free
-    /// physical register) is provably Masked — identical future, outputs
-    /// already equal — and is classified immediately instead of riding the
-    /// convoy.
+    /// physical register, an invalid cache line or a free issue-queue
+    /// slot) is provably Masked — identical future, outputs already equal
+    /// — and is classified immediately instead of riding the convoy.
     fn convoy_worker(&self) -> Vec<(usize, Outcome)> {
         let mut sp = span("campaign.worker");
         let mut stats = WorkerStats::default();

@@ -64,9 +64,21 @@ impl Cache {
         }
     }
 
-    /// Whether two caches hold identical execution-relevant state: tags,
-    /// valid/dirty bits, per-set LRU *ordering*, and line data. Hit/miss
-    /// statistics never feed back into execution and are excluded.
+    /// Whether two caches hold identical execution-relevant state: valid
+    /// bits, the tag, dirty bit and data of every *valid* line, and per-set
+    /// LRU *ordering*. Hit/miss statistics never feed back into execution
+    /// and are excluded.
+    ///
+    /// Tag, dirty bit and data of an invalid line are dead. Every reader
+    /// checks `valid` first: [`Cache::lookup`] matches a tag only on a
+    /// valid way, the write-back paths read the dirty bit, the stored tag
+    /// and the line data only under `valid && dirty`, and every other data
+    /// access is on a line [`Cache::lookup`] or [`Cache::fill`] just
+    /// returned. Nothing but `fill` makes a line valid again after
+    /// injection, and `fill` rewrites tag, valid, dirty, stamp and data.
+    /// `valid` itself is compared exactly, so two caches that agree here
+    /// agree on every line a future access can observe. Only chunks
+    /// [`CowVec::differing_ranges`] reports are walked.
     ///
     /// The LRU comparison is deliberately relative, not stamp-for-stamp.
     /// `use_counter` is a global monotone clock and the raw `lru` stamps are
@@ -84,23 +96,39 @@ impl Cache {
     /// ignored.
     pub fn state_eq(&self, other: &Cache) -> bool {
         self.valid == other.valid
-            && self.dirty == other.dirty
-            && self.tags == other.tags
-            && self.data == other.data
+            && self.valid_lines_eq(&self.tags, &other.tags, 1)
+            && self.valid_lines_eq(&self.dirty, &other.dirty, 1)
+            && self.valid_lines_eq(&self.data, &other.data, self.geom.line_bytes as usize)
             && self.lru_order_eq(other)
+    }
+
+    /// Whether every valid line overlapping a genuinely differing chunk of
+    /// a per-line array (`per_line` elements per line) holds equal content
+    /// in `ours` and `theirs`. Callers have already established `valid`
+    /// equality, so invalid lines are dead on both sides and skipped.
+    fn valid_lines_eq<T: Clone + PartialEq>(
+        &self,
+        ours: &CowVec<T>,
+        theirs: &CowVec<T>,
+        per_line: usize,
+    ) -> bool {
+        ours.differing_ranges(theirs).all(|(start, end)| {
+            (start / per_line..end.div_ceil(per_line)).all(|line| {
+                !self.valid[line]
+                    || ours.slice(line * per_line, per_line)
+                        == theirs.slice(line * per_line, per_line)
+            })
+        })
     }
 
     /// Compares per-set relative LRU order, walking only the sets that
     /// overlap lru chunks with genuinely different contents.
     fn lru_order_eq(&self, other: &Cache) -> bool {
-        self.lru
-            .differing_ranges(&other.lru)
-            .iter()
-            .all(|&(start, end)| {
-                let first_set = start / self.geom.ways;
-                let last_set = (end - 1) / self.geom.ways;
-                (first_set..=last_set).all(|set| self.set_order_eq(other, set))
-            })
+        self.lru.differing_ranges(&other.lru).all(|(start, end)| {
+            let first_set = start / self.geom.ways;
+            let last_set = (end - 1) / self.geom.ways;
+            (first_set..=last_set).all(|set| self.set_order_eq(other, set))
+        })
     }
 
     /// Whether one set's valid ways have the same pairwise recency ordering
@@ -443,6 +471,60 @@ mod tests {
         let lb = b.lookup(0x1000).unwrap();
         b.invalidate(lb);
         assert!(a.state_eq(&b) && b.state_eq(&a), "dead stamps are ignored");
+    }
+
+    #[test]
+    fn state_eq_ignores_tag_dirty_and_data_of_invalid_lines() {
+        let mut a = small();
+        let v = a.victim(0x1000);
+        a.fill(v, 0x1000, &[3; 64]);
+        a.invalidate(v);
+        let per_line = a.tag_width() as u64 + 2;
+        let dead = 5usize; // never filled
+        for line in [v, dead] {
+            let mut b = a.clone();
+            b.flip_tag_bit(line as u64 * per_line + 3);
+            b.flip_tag_bit(line as u64 * per_line + b.tag_width() as u64 + 1);
+            b.flip_data_bit((line * 64 * 8) as u64 + 17);
+            assert!(!b.is_valid(line) && b.is_dirty(line));
+            assert!(a.state_eq(&b) && b.state_eq(&a), "line {line} is dead");
+        }
+    }
+
+    #[test]
+    fn state_eq_sees_tag_dirty_and_data_of_valid_lines() {
+        let mut a = small();
+        let v = a.victim(0x1000);
+        a.fill(v, 0x1000, &[3; 64]);
+        let per_line = a.tag_width() as u64 + 2;
+        let tag = v as u64 * per_line;
+        for bit in [tag, tag + a.tag_width() as u64 + 1] {
+            let mut b = a.clone();
+            b.flip_tag_bit(bit);
+            assert!(!a.state_eq(&b) && !b.state_eq(&a), "tag-array bit {bit}");
+        }
+        let mut b = a.clone();
+        b.flip_data_bit((v * 64 * 8) as u64 + 63 * 8);
+        assert!(!a.state_eq(&b) && !b.state_eq(&a), "last data byte");
+    }
+
+    #[test]
+    fn state_eq_sees_every_valid_bit() {
+        let mut a = small();
+        let v = a.victim(0x1000);
+        a.fill(v, 0x1000, &[0; 64]);
+        let per_line = a.tag_width() as u64 + 2;
+        // Clearing a live line's valid bit, or setting a dead line's (even
+        // one whose tag, dirty bit and data all still read zero).
+        for line in [v, 7] {
+            let mut b = a.clone();
+            b.flip_tag_bit(line as u64 * per_line + a.tag_width() as u64);
+            assert_ne!(a.is_valid(line), b.is_valid(line));
+            assert!(
+                !a.state_eq(&b) && !b.state_eq(&a),
+                "valid bit of line {line}"
+            );
+        }
     }
 
     #[test]

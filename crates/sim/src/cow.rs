@@ -137,12 +137,16 @@ impl<T: Clone> CowVec<T> {
 
     /// Element ranges `[start, end)` of chunks that are neither
     /// pointer-shared with `other` nor content-equal — the only regions a
-    /// semantic comparison still has to examine.
+    /// semantic comparison still has to examine. Lazy, so a comparison
+    /// that fails on the first range compares no further chunks.
     ///
     /// # Panics
     ///
     /// Panics if the two vectors have different lengths or chunking.
-    pub fn differing_ranges(&self, other: &CowVec<T>) -> Vec<(usize, usize)>
+    pub fn differing_ranges<'v>(
+        &'v self,
+        other: &'v CowVec<T>,
+    ) -> impl Iterator<Item = (usize, usize)> + 'v
     where
         T: PartialEq,
     {
@@ -154,8 +158,7 @@ impl<T: Clone> CowVec<T> {
             .zip(&other.chunks)
             .enumerate()
             .filter(|(_, (a, b))| !Arc::ptr_eq(a, b) && a != b)
-            .map(|(i, (a, _))| (i * chunk_len, i * chunk_len + a.len()))
-            .collect()
+            .map(move |(i, (a, _))| (i * chunk_len, i * chunk_len + a.len()))
     }
 }
 
@@ -226,10 +229,10 @@ mod tests {
     fn differing_ranges_reports_only_real_differences() {
         let a = CowVec::new(40, 8, 0u32);
         let mut b = a.clone();
-        assert!(a.differing_ranges(&b).is_empty());
+        assert_eq!(a.differing_ranges(&b).count(), 0);
         b.set(9, 5); // chunk 1 differs
         b.set(17, 0); // chunk 2 rewritten with the same value: unshared, equal
-        assert_eq!(a.differing_ranges(&b), vec![(8, 16)]);
+        assert_eq!(a.differing_ranges(&b).collect::<Vec<_>>(), vec![(8, 16)]);
     }
 
     #[test]

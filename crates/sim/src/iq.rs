@@ -36,7 +36,11 @@ pub struct IqPayload {
 }
 
 /// The issue queue.
-#[derive(Debug, Clone, PartialEq)]
+///
+/// Deliberately **not** `PartialEq`: the only sound comparison is
+/// [`IssueQueue::state_eq`], which excludes the dead fields of free slots.
+/// A derived `==` would be stricter and silently misreport divergence.
+#[derive(Debug, Clone)]
 pub struct IssueQueue {
     n: usize,
     // Injectable source field.
@@ -92,7 +96,40 @@ impl IssueQueue {
     /// (payload present but valid cleared): such slots are unusable until
     /// the program times out, and dispatch must stall rather than panic.
     pub fn has_free_slot(&self) -> bool {
-        (0..self.n).any(|s| !self.valid[s] && self.payload[s].is_none())
+        (0..self.n).any(|s| self.is_free(s))
+    }
+
+    /// Whether a slot is free: valid bit clear and no dispatched payload.
+    /// Zombies (payload kept, valid cleared) and ghosts (valid set, no
+    /// payload) are not free.
+    fn is_free(&self, slot: usize) -> bool {
+        !self.valid[slot] && self.payload[slot].is_none()
+    }
+
+    /// Whether two issue queues hold execution-equivalent state: identical
+    /// occupancy, valid bits and payloads, and identical source and
+    /// destination fields in every slot that is not free.
+    ///
+    /// The src, dest and ready fields of a free slot are dead.
+    /// [`IssueQueue::broadcast`] and [`IssueQueue::ready_entries`] skip
+    /// slots whose valid bit is clear, the issue stage reads
+    /// [`IssueQueue::stored_tags`] only for slots `ready_entries` returned,
+    /// and [`IssueQueue::insert`] rewrites every field of the free slot it
+    /// takes. Valid bits and payloads are compared exactly, so both queues
+    /// agree on which slots are free.
+    pub fn state_eq(&self, other: &IssueQueue) -> bool {
+        self.n == other.n
+            && self.count == other.count
+            && self.valid == other.valid
+            && self.payload == other.payload
+            && (0..self.n).all(|s| {
+                self.is_free(s)
+                    || (self.src1_tag[s] == other.src1_tag[s]
+                        && self.src1_ready[s] == other.src1_ready[s]
+                        && self.src2_tag[s] == other.src2_tag[s]
+                        && self.src2_ready[s] == other.src2_ready[s]
+                        && self.dest_tag[s] == other.dest_tag[s])
+            })
     }
 
     /// Inserts an entry; returns its slot, or `None` when no insertable
@@ -106,7 +143,7 @@ impl IssueQueue {
         src1_ready: bool,
         src2_ready: bool,
     ) -> Option<usize> {
-        let slot = (0..self.n).find(|&s| !self.valid[s] && self.payload[s].is_none())?;
+        let slot = (0..self.n).find(|&s| self.is_free(s))?;
         self.src1_tag[slot] = payload.golden_src1;
         self.src2_tag[slot] = payload.golden_src2;
         self.src1_ready[slot] = src1_ready || !payload.has_src1;
@@ -329,6 +366,44 @@ mod tests {
         let mut iq = IssueQueue::new(1);
         iq.insert(payload(1, 0, 0, 1), true, true).unwrap();
         assert_eq!(iq.insert(payload(2, 0, 0, 2), true, true), None);
+    }
+
+    #[test]
+    fn state_eq_ignores_fields_of_free_slots() {
+        let mut a = IssueQueue::new(4);
+        let slot = a.insert(payload(1, 10, 11, 20), false, false).unwrap();
+        a.remove(slot); // the slot is free again, its old tags linger
+        for free in [slot, 3] {
+            let mut b = a.clone();
+            for bit in 0..SRC_BITS_PER_ENTRY {
+                b.flip_src_bit(free as u64 * SRC_BITS_PER_ENTRY + bit);
+            }
+            for bit in 0..DEST_BITS_PER_ENTRY - 1 {
+                b.flip_dest_bit(free as u64 * DEST_BITS_PER_ENTRY + bit);
+            }
+            assert!(a.state_eq(&b) && b.state_eq(&a), "slot {free} is free");
+        }
+    }
+
+    #[test]
+    fn state_eq_sees_fields_of_occupied_slots_and_valid_bits() {
+        let mut a = IssueQueue::new(4);
+        let slot = a.insert(payload(1, 10, 11, 20), false, false).unwrap();
+        for bit in 0..SRC_BITS_PER_ENTRY {
+            let mut b = a.clone();
+            b.flip_src_bit(slot as u64 * SRC_BITS_PER_ENTRY + bit);
+            assert!(!a.state_eq(&b) && !b.state_eq(&a), "src bit {bit}");
+        }
+        // Dest tag bits of the occupied slot, then the valid bit of the
+        // occupied slot (a zombie) and of a free one (a ghost).
+        for (s, bit) in (0..DEST_BITS_PER_ENTRY).map(|b| (slot, b)).chain([(3, 8)]) {
+            let mut b = a.clone();
+            b.flip_dest_bit(s as u64 * DEST_BITS_PER_ENTRY + bit);
+            assert!(
+                !a.state_eq(&b) && !b.state_eq(&a),
+                "slot {s} dest bit {bit}"
+            );
+        }
     }
 
     #[test]

@@ -550,7 +550,7 @@ impl Sim {
         if self.rob != other.rob {
             return Some("rob");
         }
-        if self.iq != other.iq {
+        if !self.iq.state_eq(&other.iq) {
             return Some("iq");
         }
         if self.lq != other.lq {
@@ -608,7 +608,7 @@ impl Sim {
         if self.rob != other.rob {
             out.push("rob");
         }
-        if self.iq != other.iq {
+        if !self.iq.state_eq(&other.iq) {
             out.push("iq");
         }
         if self.lq != other.lq {

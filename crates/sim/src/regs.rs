@@ -211,8 +211,7 @@ impl RegisterFile {
             && self
                 .values
                 .differing_ranges(&other.values)
-                .iter()
-                .all(|&(start, end)| {
+                .all(|(start, end)| {
                     (start..end).all(|reg| {
                         self.values[reg] == other.values[reg] || self.is_free[reg]
                     })

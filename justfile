@@ -142,5 +142,13 @@ profile:
         --results target/softerr-profile-store \
         --trace target/repro-trace.json
 
+# Study-benchmark self-check: runs every benchmark workload at a tiny size
+# through the program entry points `studybench/` calls (the orchestrator,
+# the coordinator and its workers, the result store, the traced replica),
+# so a program change that breaks them fails here rather than in a
+# benchmark run.
+studybench-check:
+    cargo test --manifest-path studybench/Cargo.toml
+
 # Everything the CI gate requires.
-ci: test lint lint-ir prune-check static-check cow-check sampling-check serve-check bench-gate
+ci: test lint lint-ir prune-check static-check cow-check sampling-check serve-check studybench-check bench-gate

@@ -8,12 +8,15 @@
 //! directed tests pin the two behaviors the refactor exists to deliver:
 //! O(1) fork cost, and early convergence classification for children whose
 //! transient extra miss previously kept the old stamp-exact cache equality
-//! false forever.
+//! false forever. A cell-level property covers the one golden convoy a
+//! study cell shares across all 15 structures, and directed probes pin
+//! that flips in dead state (invalid cache lines, free issue-queue slots)
+//! are not divergence.
 
 use proptest::prelude::*;
 use softerr::{
     CampaignConfig, Compiler, FaultClass, Injector, MachineConfig, OptLevel, Program, PruneMode,
-    SamplingPlan, Sim, SimOutcome, Structure,
+    SamplerKind, SamplingPlan, Sim, SimOutcome, Structure,
 };
 use std::sync::OnceLock;
 
@@ -155,6 +158,54 @@ proptest! {
                         machine.name, structure, seed
                     );
                 }
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// One convoy per cell: a run over all 15 structures, the way a study
+    /// cell executes, classifies every fault exactly as a separate
+    /// fresh-engine run of its structure, over random seeds, both paper
+    /// machines, prune on and off, and uniform and importance samplers.
+    #[test]
+    fn one_convoy_cell_matches_fresh_per_structure(
+        seed in any::<u64>(),
+        prune_on in any::<bool>(),
+        importance in any::<bool>(),
+    ) {
+        let sampler = if importance { SamplerKind::Importance } else { SamplerKind::Uniform };
+        for (machine, program) in machines() {
+            let injector = Injector::new(machine, program).expect("golden run");
+            let fresh_cfg = CampaignConfig {
+                plan: SamplingPlan::fixed(6).sampler(sampler),
+                seed,
+                checkpoint: false,
+                ..CampaignConfig::default()
+            };
+            let cell_cfg = CampaignConfig {
+                checkpoint: true,
+                plan: fresh_cfg
+                    .plan
+                    .prune(if prune_on { PruneMode::On } else { PruneMode::Off }),
+                ..fresh_cfg
+            };
+            let cell = injector.run_all(&Structure::ALL, &cell_cfg).execute_all();
+            prop_assert_eq!(cell.len(), Structure::ALL.len());
+            for (out, &structure) in cell.iter().zip(Structure::ALL.iter()) {
+                let fresh = injector.run(structure, &fresh_cfg).execute();
+                prop_assert_eq!(
+                    &fresh.result, &out.result,
+                    "{}/{}: the shared convoy changed the class tallies (seed {})",
+                    machine.name, structure, seed
+                );
+                prop_assert_eq!(
+                    &fresh.classes, &out.classes,
+                    "{}/{}: the shared convoy changed a per-fault verdict (seed {})",
+                    machine.name, structure, seed
+                );
             }
         }
     }
@@ -320,10 +371,96 @@ fn divergence_component_names_are_pinned() {
     let mut child = golden.fork();
     child.flip_bit(Structure::L1DData, 0);
     assert_eq!(child.state_divergence(&golden), Some("mem.l1d"));
+    // Tag bit 0 of the first L1I line that is valid at cycle 300.
+    let l1i = &golden.mem.l1i;
+    let per_line = l1i.tag_width() as u64 + 2;
+    let live = (0..l1i.geometry().lines())
+        .find(|&line| l1i.is_valid(line))
+        .expect("the I-cache holds code by cycle 300");
     let mut child = golden.fork();
-    child.flip_bit(Structure::L1ITag, 0);
+    child.flip_bit(Structure::L1ITag, live as u64 * per_line);
     assert_eq!(child.state_divergence(&golden), Some("mem.l1i"));
     let mut child = golden.fork();
     assert!(child.run_to_cycle(301).is_none());
     assert_eq!(child.state_divergence(&golden), Some("cycle"));
+}
+
+/// Dead state is not divergence: a flip in the tag, dirty bit or data of
+/// an invalid cache line, or in the fields of a free issue-queue slot, is
+/// rewritten before anything can read it, so the probe reports `None`
+/// (and a recorded campaign classifies the fault Masked at the fork).
+#[test]
+fn flips_in_dead_lines_and_free_slots_report_no_divergence() {
+    for (machine, program) in machines() {
+        let mut golden = Sim::new(machine, program);
+        assert!(golden.run_to_cycle(300).is_none());
+        for (structure_tag, structure_data, cache) in [
+            (Structure::L1ITag, Structure::L1IData, &golden.mem.l1i),
+            (Structure::L1DTag, Structure::L1DData, &golden.mem.l1d),
+            (Structure::L2Tag, Structure::L2Data, &golden.mem.l2),
+        ] {
+            let per_line = cache.tag_width() as u64 + 2;
+            let line_bits = cache.geometry().line_bytes * 8;
+            let dead = (0..cache.geometry().lines())
+                .find(|&line| !cache.is_valid(line))
+                .expect("some line is still invalid at cycle 300") as u64;
+            for (structure, bit) in [
+                (structure_tag, dead * per_line),
+                (
+                    structure_tag,
+                    dead * per_line + cache.tag_width() as u64 - 1,
+                ),
+                // The dirty bit (the valid bit, one below it, is live).
+                (
+                    structure_tag,
+                    dead * per_line + cache.tag_width() as u64 + 1,
+                ),
+                (structure_data, dead * line_bits),
+                (structure_data, dead * line_bits + line_bits - 1),
+            ] {
+                let mut child = golden.fork();
+                child.flip_bit(structure, bit);
+                assert_eq!(
+                    child.state_divergence(&golden),
+                    None,
+                    "{}: {structure} bit {bit} lies in invalid line {dead}",
+                    machine.name
+                );
+            }
+            // Setting the dead line's valid bit resurrects it: divergence.
+            let mut child = golden.fork();
+            child.flip_bit(structure_tag, dead * per_line + cache.tag_width() as u64);
+            assert!(child.state_divergence(&golden).is_some());
+        }
+        let entries = golden.iq.capacity() as u64;
+        let (src, dest) = (
+            golden.bit_count(Structure::IqSrc) / entries,
+            golden.bit_count(Structure::IqDest) / entries,
+        );
+        let free = (0..golden.iq.capacity())
+            .find(|&slot| golden.iq.payload(slot).is_none())
+            .expect("some IQ slot is free at cycle 300") as u64;
+        // Source tags and ready bits, and the destination tag (the dest
+        // field's last bit is the valid bit).
+        for (structure, bit) in [
+            (Structure::IqSrc, free * src),
+            (Structure::IqSrc, free * src + 8),
+            (Structure::IqSrc, free * src + src - 1),
+            (Structure::IqDest, free * dest),
+            (Structure::IqDest, free * dest + dest - 2),
+        ] {
+            let mut child = golden.fork();
+            child.flip_bit(structure, bit);
+            assert_eq!(
+                child.state_divergence(&golden),
+                None,
+                "{}: {structure} bit {bit} lies in free IQ slot {free}",
+                machine.name
+            );
+        }
+        // The free slot's valid bit makes a ghost entry: divergence.
+        let mut child = golden.fork();
+        child.flip_bit(Structure::IqDest, free * dest + dest - 1);
+        assert_eq!(child.state_divergence(&golden), Some("iq"));
+    }
 }
