@@ -150,11 +150,13 @@ pub fn stage_table(trace: &Trace) -> Table {
 
 /// Per-worker engine counters from `campaign.worker` spans: fault claims,
 /// fork/no-fork split, how children left the convoy (converged, ran to
-/// the program's end, graduated past every later fault, asserted), and
-/// the simulated-cycle split between converged and ran-to-end children.
-/// One row per worker span in trace order, plus a `total` row.
+/// the program's end, graduated to run off the convoy because the convoy
+/// was full or the golden run halted first, filed as Timeout at a fixed
+/// point, asserted), and the simulated-cycle split between converged and
+/// ran-to-end children. One row per worker span in trace order, plus a
+/// `total` row.
 pub fn worker_table(trace: &Trace) -> Table {
-    const COUNTERS: [&str; 10] = [
+    const COUNTERS: [&str; 11] = [
         "claimed",
         "fresh",
         "forks",
@@ -162,6 +164,7 @@ pub fn worker_table(trace: &Trace) -> Table {
         "converged",
         "ended",
         "graduated",
+        "fixed_points",
         "asserts",
         "converged_cycles",
         "ran_cycles",
@@ -362,22 +365,30 @@ mod tests {
 
     #[test]
     fn worker_table_sums_counters() {
-        let fields = |claimed: u64, forks: u64| {
+        let fields = |claimed: u64, forks: u64, fixed_points: u64| {
             vec![
                 ("claimed", FieldValue::U64(claimed)),
                 ("forks", FieldValue::U64(forks)),
                 ("converged", FieldValue::U64(1)),
+                ("fixed_points", FieldValue::U64(fixed_points)),
             ]
         };
         let t = trace(vec![
-            span("campaign.worker", 0, 1_000_000, 1, 0, fields(10, 4)),
-            span("campaign.worker", 0, 2_000_000, 2, 0, fields(20, 6)),
+            span("campaign.worker", 0, 1_000_000, 1, 0, fields(10, 4, 2)),
+            span("campaign.worker", 0, 2_000_000, 2, 0, fields(20, 6, 5)),
         ]);
         let csv = worker_table(&t).to_csv();
-        let total = csv.lines().last().unwrap();
-        assert!(total.starts_with("total,30,"), "{total}");
-        assert!(total.contains(",10,"), "forks sum to 10: {total}");
-        assert!(total.ends_with("3.000"), "busy ms sums: {total}");
+        let column = |name: &str| {
+            let headers: Vec<&str> = csv.lines().next().unwrap().split(',').collect();
+            headers.iter().position(|h| *h == name).unwrap()
+        };
+        let total: Vec<&str> = csv.lines().last().unwrap().split(',').collect();
+        assert_eq!(total[0], "total");
+        assert_eq!(total[column("claimed")], "30");
+        assert_eq!(total[column("forks")], "10");
+        assert_eq!(total[column("fixed_points")], "7");
+        assert_eq!(total[column("graduated")], "0", "absent fields read 0");
+        assert_eq!(total[column("ms")], "3.000", "busy ms sums");
     }
 
     #[test]

@@ -102,6 +102,20 @@ impl Cache {
             && self.lru_order_eq(other)
     }
 
+    /// Whether flipping data-array `bit` leaves [`Cache::state_eq`] against
+    /// the unflipped cache true: exactly the bits of invalid lines.
+    pub(crate) fn data_bit_is_dead(&self, bit: u64) -> bool {
+        !self.valid[(bit / 8) as usize / self.geom.line_bytes as usize]
+    }
+
+    /// Whether flipping tag-array `bit` leaves [`Cache::state_eq`] true:
+    /// the tag and dirty bits of an invalid line. A valid bit is never
+    /// dead, since flipping it on resurrects a stale line.
+    pub(crate) fn tag_bit_is_dead(&self, bit: u64) -> bool {
+        let per_line = self.tag_width as u64 + 2;
+        bit % per_line != self.tag_width as u64 && !self.valid[(bit / per_line) as usize]
+    }
+
     /// Whether every valid line overlapping a genuinely differing chunk of
     /// a per-line array (`per_line` elements per line) holds equal content
     /// in `ours` and `theirs`. Callers have already established `valid`

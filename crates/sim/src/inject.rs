@@ -157,6 +157,39 @@ impl Sim {
             Structure::RobFlags => self.rob.flip_bit(RobField::Flags, bit),
         }
     }
+
+    /// Whether flipping `bit` of `s` leaves this machine [`Sim::state_eq`]
+    /// to itself unflipped, so a fault there is Masked without simulating
+    /// it: its future is this machine's future and no output differs yet.
+    /// Each structure answers with the relaxation its own `state_eq`
+    /// applies: the tag, dirty and data bits of an invalid cache line, the
+    /// value of a free physical register, and the source and
+    /// destination-tag bits of a free issue-queue slot. ROB, LQ and SQ
+    /// compare exactly, so none of their bits is dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `bit >= self.bit_count(s)`.
+    pub fn bit_is_dead(&self, s: Structure, bit: u64) -> bool {
+        assert!(bit < self.bit_count(s), "{s} bit index out of range");
+        match s {
+            Structure::L1IData => self.mem.l1i.data_bit_is_dead(bit),
+            Structure::L1ITag => self.mem.l1i.tag_bit_is_dead(bit),
+            Structure::L1DData => self.mem.l1d.data_bit_is_dead(bit),
+            Structure::L1DTag => self.mem.l1d.tag_bit_is_dead(bit),
+            Structure::L2Data => self.mem.l2.data_bit_is_dead(bit),
+            Structure::L2Tag => self.mem.l2.tag_bit_is_dead(bit),
+            Structure::RegFile => self.rf.bit_is_dead(bit),
+            Structure::IqSrc => self.iq.src_bit_is_dead(bit),
+            Structure::IqDest => self.iq.dest_bit_is_dead(bit),
+            Structure::LoadQueue
+            | Structure::StoreQueue
+            | Structure::RobPc
+            | Structure::RobDest
+            | Structure::RobSeq
+            | Structure::RobFlags => false,
+        }
+    }
 }
 
 #[cfg(test)]

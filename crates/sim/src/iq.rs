@@ -37,6 +37,10 @@ pub struct IqPayload {
 
 /// The issue queue.
 ///
+/// Per-slot flags (valid, the two source-ready bits, and payload
+/// occupancy) are bitsets, so the per-cycle scans (wakeup, readiness,
+/// free-slot search, squash) visit only the slots whose bits are set.
+///
 /// Deliberately **not** `PartialEq`: the only sound comparison is
 /// [`IssueQueue::state_eq`], which excludes the dead fields of free slots.
 /// A derived `==` would be stricter and silently misreport divergence.
@@ -45,14 +49,65 @@ pub struct IssueQueue {
     n: usize,
     // Injectable source field.
     src1_tag: Vec<PhysReg>,
-    src1_ready: Vec<bool>,
+    src1_ready: SlotSet,
     src2_tag: Vec<PhysReg>,
-    src2_ready: Vec<bool>,
+    src2_ready: SlotSet,
     // Injectable destination field.
     dest_tag: Vec<PhysReg>,
-    valid: Vec<bool>,
-    payload: Vec<Option<IqPayload>>,
-    count: usize,
+    valid: SlotSet,
+    /// Slots holding a dispatched instruction; `payload[s]` is meaningful
+    /// only where this bit is set.
+    held: SlotSet,
+    payload: Vec<IqPayload>,
+}
+
+/// Payload placeholder for slots that hold no instruction.
+const NO_PAYLOAD: IqPayload = IqPayload {
+    rob_idx: 0,
+    seq: 0,
+    has_src1: false,
+    has_src2: false,
+    golden_src1: 0,
+    golden_src2: 0,
+    golden_dest: 0,
+};
+
+/// One bit per issue-queue slot, 64 slots per word.
+#[derive(Debug, Clone, PartialEq, Eq)]
+struct SlotSet(Vec<u64>);
+
+impl SlotSet {
+    fn new(n: usize) -> SlotSet {
+        SlotSet(vec![0; n.div_ceil(64)])
+    }
+
+    fn get(&self, slot: usize) -> bool {
+        (self.0[slot / 64] >> (slot % 64)) & 1 != 0
+    }
+
+    fn set(&mut self, slot: usize, on: bool) {
+        let bit = 1 << (slot % 64);
+        if on {
+            self.0[slot / 64] |= bit;
+        } else {
+            self.0[slot / 64] &= !bit;
+        }
+    }
+
+    fn toggle(&mut self, slot: usize) {
+        self.0[slot / 64] ^= 1 << (slot % 64);
+    }
+}
+
+/// Slot indices of the set bits of `word`, the `w`-th word of a set.
+fn slots_of(w: usize, mut word: u64) -> impl Iterator<Item = usize> {
+    std::iter::from_fn(move || {
+        (word != 0).then(|| {
+            let bit = word.trailing_zeros() as usize;
+            word &= word - 1;
+            w * 64 + bit
+        })
+    })
 }
 
 impl IssueQueue {
@@ -61,13 +116,13 @@ impl IssueQueue {
         IssueQueue {
             n,
             src1_tag: vec![0; n],
-            src1_ready: vec![false; n],
+            src1_ready: SlotSet::new(n),
             src2_tag: vec![0; n],
-            src2_ready: vec![false; n],
+            src2_ready: SlotSet::new(n),
             dest_tag: vec![0; n],
-            valid: vec![false; n],
-            payload: vec![None; n],
-            count: 0,
+            valid: SlotSet::new(n),
+            held: SlotSet::new(n),
+            payload: vec![NO_PAYLOAD; n],
         }
     }
 
@@ -76,19 +131,21 @@ impl IssueQueue {
         self.n
     }
 
-    /// Occupied entries.
+    /// Unusable entries: valid bit set or payload present. Dispatched
+    /// entries, plus the ghosts and zombies an injected valid-bit flip
+    /// creates.
     pub fn len(&self) -> usize {
-        self.count
+        self.live_words().map(|w| w.count_ones() as usize).sum()
     }
 
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
-        self.count == 0
+        self.live_words().all(|w| w == 0)
     }
 
     /// Whether the queue is full.
     pub fn is_full(&self) -> bool {
-        self.count >= self.n
+        self.len() >= self.n
     }
 
     /// Whether a physically insertable slot exists. This can differ from
@@ -96,107 +153,146 @@ impl IssueQueue {
     /// (payload present but valid cleared): such slots are unusable until
     /// the program times out, and dispatch must stall rather than panic.
     pub fn has_free_slot(&self) -> bool {
-        (0..self.n).any(|s| self.is_free(s))
+        self.free_words().any(|w| w != 0)
     }
 
     /// Whether a slot is free: valid bit clear and no dispatched payload.
     /// Zombies (payload kept, valid cleared) and ghosts (valid set, no
     /// payload) are not free.
     fn is_free(&self, slot: usize) -> bool {
-        !self.valid[slot] && self.payload[slot].is_none()
+        !self.valid.get(slot) && !self.held.get(slot)
+    }
+
+    /// Words of the not-free slots (valid bit set or payload present).
+    fn live_words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.valid.0.iter().zip(&self.held.0).map(|(v, h)| v | h)
+    }
+
+    /// Words of the free slots, with the bits past the last slot cleared.
+    fn free_words(&self) -> impl Iterator<Item = u64> + '_ {
+        let n = self.n;
+        self.live_words().enumerate().map(move |(w, live)| {
+            let in_range = match n - w * 64 {
+                rest if rest >= 64 => !0,
+                rest => (1 << rest) - 1,
+            };
+            !live & in_range
+        })
     }
 
     /// Whether two issue queues hold execution-equivalent state: identical
-    /// occupancy, valid bits and payloads, and identical source and
-    /// destination fields in every slot that is not free.
+    /// valid bits and payload occupancy, identical payloads, and identical
+    /// source and destination fields in every slot that is not free.
     ///
     /// The src, dest and ready fields of a free slot are dead.
     /// [`IssueQueue::broadcast`] and [`IssueQueue::ready_entries`] skip
     /// slots whose valid bit is clear, the issue stage reads
     /// [`IssueQueue::stored_tags`] only for slots `ready_entries` returned,
     /// and [`IssueQueue::insert`] rewrites every field of the free slot it
-    /// takes. Valid bits and payloads are compared exactly, so both queues
+    /// takes. Valid bits and occupancy are compared exactly, so both queues
     /// agree on which slots are free.
     pub fn state_eq(&self, other: &IssueQueue) -> bool {
+        let ready_eq = |ours: &SlotSet, theirs: &SlotSet| {
+            self.live_words()
+                .zip(ours.0.iter().zip(&theirs.0))
+                .all(|(live, (a, b))| (a ^ b) & live == 0)
+        };
         self.n == other.n
-            && self.count == other.count
             && self.valid == other.valid
-            && self.payload == other.payload
-            && (0..self.n).all(|s| {
-                self.is_free(s)
-                    || (self.src1_tag[s] == other.src1_tag[s]
-                        && self.src1_ready[s] == other.src1_ready[s]
+            && self.held == other.held
+            && ready_eq(&self.src1_ready, &other.src1_ready)
+            && ready_eq(&self.src2_ready, &other.src2_ready)
+            && self.live_words().enumerate().all(|(w, live)| {
+                slots_of(w, live).all(|s| {
+                    self.src1_tag[s] == other.src1_tag[s]
                         && self.src2_tag[s] == other.src2_tag[s]
-                        && self.src2_ready[s] == other.src2_ready[s]
-                        && self.dest_tag[s] == other.dest_tag[s])
+                        && self.dest_tag[s] == other.dest_tag[s]
+                        && (!self.held.get(s) || self.payload[s] == other.payload[s])
+                })
             })
     }
 
-    /// Inserts an entry; returns its slot, or `None` when no insertable
-    /// slot exists. Dispatch guards with [`IssueQueue::has_free_slot`], so
-    /// `None` only happens when a fault corrupted the capacity
-    /// bookkeeping; returning it (instead of panicking) lets the pipeline
-    /// classify the run as an Assert even under `panic = "abort"`.
+    /// Whether flipping source-field `bit` leaves [`IssueQueue::state_eq`]
+    /// against the unflipped queue true: every source bit (tags and ready
+    /// bits) of a free slot is dead, every other one is compared.
+    pub(crate) fn src_bit_is_dead(&self, bit: u64) -> bool {
+        self.is_free((bit / SRC_BITS_PER_ENTRY) as usize)
+    }
+
+    /// Whether flipping destination-field `bit` leaves
+    /// [`IssueQueue::state_eq`] true: the destination tag of a free slot is
+    /// dead; the valid bit never is (flipping it creates a ghost or a
+    /// zombie).
+    pub(crate) fn dest_bit_is_dead(&self, bit: u64) -> bool {
+        bit % DEST_BITS_PER_ENTRY < 8 && self.is_free((bit / DEST_BITS_PER_ENTRY) as usize)
+    }
+
+    /// Inserts an entry into the lowest free slot; returns the slot, or
+    /// `None` when no insertable slot exists. Dispatch guards with
+    /// [`IssueQueue::has_free_slot`], so `None` only happens when a fault
+    /// corrupted the capacity bookkeeping; returning it (instead of
+    /// panicking) lets the pipeline classify the run as an Assert even
+    /// under `panic = "abort"`.
     pub fn insert(
         &mut self,
         payload: IqPayload,
         src1_ready: bool,
         src2_ready: bool,
     ) -> Option<usize> {
-        let slot = (0..self.n).find(|&s| self.is_free(s))?;
+        let slot = self
+            .free_words()
+            .enumerate()
+            .find_map(|(w, free)| slots_of(w, free).next())?;
         self.src1_tag[slot] = payload.golden_src1;
         self.src2_tag[slot] = payload.golden_src2;
-        self.src1_ready[slot] = src1_ready || !payload.has_src1;
-        self.src2_ready[slot] = src2_ready || !payload.has_src2;
+        self.src1_ready.set(slot, src1_ready || !payload.has_src1);
+        self.src2_ready.set(slot, src2_ready || !payload.has_src2);
         self.dest_tag[slot] = payload.golden_dest;
-        self.valid[slot] = true;
-        self.payload[slot] = Some(payload);
-        self.count += 1;
+        self.valid.set(slot, true);
+        self.held.set(slot, true);
+        self.payload[slot] = payload;
         Some(slot)
     }
 
     /// Removes an entry (after issue or squash).
     pub fn remove(&mut self, slot: usize) {
-        if self.valid[slot] || self.payload[slot].is_some() {
-            self.valid[slot] = false;
-            self.payload[slot] = None;
-            self.count = self.count.saturating_sub(1);
-        }
+        self.valid.set(slot, false);
+        self.held.set(slot, false);
     }
 
     /// Wakeup broadcast: marks matching source tags ready.
     pub fn broadcast(&mut self, tag: PhysReg) {
-        for slot in 0..self.n {
-            if self.valid[slot] {
+        for (w, &valid) in self.valid.0.iter().enumerate() {
+            for slot in slots_of(w, valid) {
                 if self.src1_tag[slot] == tag {
-                    self.src1_ready[slot] = true;
+                    self.src1_ready.set(slot, true);
                 }
                 if self.src2_tag[slot] == tag {
-                    self.src2_ready[slot] = true;
+                    self.src2_ready.set(slot, true);
                 }
             }
         }
     }
 
-    /// Entries that are valid and fully ready, oldest (smallest seq) first.
+    /// Fills `ready` with the entries that are valid and fully ready,
+    /// oldest (smallest seq) first. The caller owns the buffer so the issue
+    /// stage can reuse one allocation every cycle.
     ///
     /// An entry whose injectable valid bit is set but whose payload is gone
     /// is reported so the pipeline can raise an Assert.
-    pub fn ready_entries(&self) -> Result<Vec<usize>, &'static str> {
-        let mut ready: Vec<(u64, usize)> = Vec::new();
-        for slot in 0..self.n {
-            if !self.valid[slot] {
-                continue;
-            }
-            let Some(p) = &self.payload[slot] else {
+    pub fn ready_entries(&self, ready: &mut Vec<usize>) -> Result<(), &'static str> {
+        ready.clear();
+        for (w, &valid) in self.valid.0.iter().enumerate() {
+            if valid & !self.held.0[w] != 0 {
                 return Err("IQ entry valid without a dispatched instruction");
-            };
-            if self.src1_ready[slot] && self.src2_ready[slot] {
-                ready.push((p.seq, slot));
             }
+            ready.extend(slots_of(
+                w,
+                valid & self.src1_ready.0[w] & self.src2_ready.0[w],
+            ));
         }
-        ready.sort_unstable();
-        Ok(ready.into_iter().map(|(_, s)| s).collect())
+        ready.sort_unstable_by_key(|&slot| (self.payload[slot].seq, slot));
+        Ok(())
     }
 
     /// Reads the injectable fields of an entry:
@@ -211,17 +307,15 @@ impl IssueQueue {
 
     /// Payload of an entry.
     pub fn payload(&self, slot: usize) -> Option<&IqPayload> {
-        self.payload[slot].as_ref()
+        self.held.get(slot).then(|| &self.payload[slot])
     }
 
     /// Removes all entries with `seq > boundary` (mispredict squash).
     pub fn squash_younger(&mut self, boundary: u64) {
-        for slot in 0..self.n {
-            if let Some(p) = &self.payload[slot] {
-                if p.seq > boundary {
-                    self.valid[slot] = false;
-                    self.payload[slot] = None;
-                    self.count = self.count.saturating_sub(1);
+        for w in 0..self.held.0.len() {
+            for slot in slots_of(w, self.held.0[w]) {
+                if self.payload[slot].seq > boundary {
+                    self.remove(slot);
                 }
             }
         }
@@ -244,13 +338,16 @@ impl IssueQueue {
         let off = bit % SRC_BITS_PER_ENTRY;
         match off {
             0..=7 => self.src1_tag[slot] ^= 1 << off,
-            8 => self.src1_ready[slot] = !self.src1_ready[slot],
+            8 => self.src1_ready.toggle(slot),
             9..=16 => self.src2_tag[slot] ^= 1 << (off - 9),
-            _ => self.src2_ready[slot] = !self.src2_ready[slot],
+            _ => self.src2_ready.toggle(slot),
         }
     }
 
-    /// Flips a bit of the destination field.
+    /// Flips a bit of the destination field. Flipping the valid bit of a
+    /// dispatched entry makes a zombie (payload kept, valid cleared), and
+    /// flipping it on a free slot makes a ghost (valid set, no payload);
+    /// both stay unusable.
     pub fn flip_dest_bit(&mut self, bit: u64) {
         assert!(bit < self.dest_bits(), "IQ dest bit out of range");
         let slot = (bit / DEST_BITS_PER_ENTRY) as usize;
@@ -258,18 +355,7 @@ impl IssueQueue {
         if off < 8 {
             self.dest_tag[slot] ^= 1 << off;
         } else {
-            let was_valid = self.valid[slot];
-            self.valid[slot] = !was_valid;
-            // `count` tracks *unusable* slots (valid bit set or payload
-            // still present). A zombie (payload kept, valid cleared) stays
-            // unusable; a ghost (valid set on an empty slot) becomes so.
-            if self.payload[slot].is_none() {
-                if was_valid {
-                    self.count = self.count.saturating_sub(1);
-                } else {
-                    self.count += 1;
-                }
-            }
+            self.valid.toggle(slot);
         }
     }
 }
@@ -277,6 +363,11 @@ impl IssueQueue {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn ready_slots(iq: &IssueQueue) -> Result<Vec<usize>, &'static str> {
+        let mut ready = Vec::new();
+        iq.ready_entries(&mut ready).map(|()| ready)
+    }
 
     fn payload(seq: u64, s1: PhysReg, s2: PhysReg, d: PhysReg) -> IqPayload {
         IqPayload {
@@ -295,13 +386,13 @@ mod tests {
         let mut iq = IssueQueue::new(4);
         iq.insert(payload(2, 10, 11, 20), false, false);
         iq.insert(payload(1, 10, 0, 21), false, true);
-        assert!(iq.ready_entries().unwrap().is_empty());
+        assert!(ready_slots(&iq).unwrap().is_empty());
         iq.broadcast(10);
-        let ready = iq.ready_entries().unwrap();
+        let ready = ready_slots(&iq).unwrap();
         assert_eq!(ready.len(), 1, "entry 2 still waits on tag 11");
         assert_eq!(iq.payload(ready[0]).unwrap().seq, 1);
         iq.broadcast(11);
-        let ready = iq.ready_entries().unwrap();
+        let ready = ready_slots(&iq).unwrap();
         assert_eq!(
             (
                 iq.payload(ready[0]).unwrap().seq,
@@ -318,10 +409,10 @@ mod tests {
         let slot = iq.insert(payload(1, 10, 0, 20), false, true).unwrap();
         iq.flip_src_bit(slot as u64 * SRC_BITS_PER_ENTRY); // tag 10 → 11
         iq.broadcast(10);
-        assert!(iq.ready_entries().unwrap().is_empty(), "wakeup missed");
+        assert!(ready_slots(&iq).unwrap().is_empty(), "wakeup missed");
         iq.broadcast(11);
         assert_eq!(
-            iq.ready_entries().unwrap().len(),
+            ready_slots(&iq).unwrap().len(),
             1,
             "wrong producer wakes it"
         );
@@ -334,14 +425,14 @@ mod tests {
         let mut iq = IssueQueue::new(2);
         let slot = iq.insert(payload(1, 10, 0, 20), false, true).unwrap();
         iq.flip_src_bit(slot as u64 * SRC_BITS_PER_ENTRY + 8);
-        assert_eq!(iq.ready_entries().unwrap(), vec![slot]);
+        assert_eq!(ready_slots(&iq).unwrap(), vec![slot]);
     }
 
     #[test]
     fn ghost_valid_bit_detected() {
         let mut iq = IssueQueue::new(2);
         iq.flip_dest_bit(DEST_BITS_PER_ENTRY - 1); // valid bit of slot 0
-        assert!(iq.ready_entries().is_err());
+        assert!(ready_slots(&iq).is_err());
     }
 
     #[test]
@@ -352,8 +443,7 @@ mod tests {
         iq.insert(payload(9, 0, 0, 3), true, true).unwrap();
         iq.squash_younger(5);
         assert_eq!(iq.len(), 2);
-        let seqs: Vec<u64> = iq
-            .ready_entries()
+        let seqs: Vec<u64> = ready_slots(&iq)
             .unwrap()
             .into_iter()
             .map(|s| iq.payload(s).unwrap().seq)

@@ -121,6 +121,9 @@ pub struct Sim {
     in_flight: Vec<usize>,
     wb_ready: VecDeque<usize>,
     divider_busy: u64,
+    /// The issue stage's ready list, one allocation reused every cycle.
+    /// Empty between cycles; not machine state.
+    issue_buf: Vec<usize>,
     // Architectural results.
     output: Vec<u64>,
     cycle: u64,
@@ -178,6 +181,7 @@ impl Sim {
             in_flight: Vec::new(),
             wb_ready: VecDeque::new(),
             divider_busy: 0,
+            issue_buf: Vec::with_capacity(cfg.iq_entries),
             output: Vec::new(),
             cycle: 0,
             retired: 0,
@@ -628,6 +632,26 @@ impl Sim {
         }
         self.mem.divergent_components(&other.mem, &mut out);
         out
+    }
+
+    /// Whether the machine sits at a fixed point of the cycle transition:
+    /// one more cycle leaves it [`Sim::state_eq`] to itself (the cycle
+    /// counter aside). Stepping a fork leaves `self` untouched; `false` if
+    /// that cycle ends the run.
+    ///
+    /// The transition never reads the cycle counter (only terminal
+    /// outcomes and the residency tracker do, and forks carry no tracker),
+    /// and `state_eq` is a congruence for it, so a fixed point repeats
+    /// forever: [`Sim::run`] from here returns `CycleLimit` at its budget.
+    /// Faults that deadlock the pipeline (a lost wakeup tag, a cleared
+    /// DONE flag) freeze it this way within a few dozen cycles.
+    pub fn is_fixed_point(&self) -> bool {
+        let mut next = self.fork();
+        if next.step_cycle().is_err() {
+            return false;
+        }
+        next.cycle = self.cycle;
+        next.state_eq(self)
     }
 
     /// Runs until the program ends or `max_cycles` elapse.
@@ -1131,13 +1155,13 @@ impl Sim {
     // ------------------------------------------------------------ issue --
 
     fn issue(&mut self) -> Result<(), SimOutcome> {
-        let ready = match self.iq.ready_entries() {
-            Ok(r) => r,
-            Err(m) => return Err(self.assert_stop(m)),
-        };
+        let mut ready = std::mem::take(&mut self.issue_buf);
+        if let Err(m) = self.iq.ready_entries(&mut ready) {
+            return Err(self.assert_stop(m));
+        }
         let mut issued = 0;
         let mut mem_issued = 0;
-        for slot in ready {
+        for &slot in &ready {
             if issued == self.cfg.issue_width {
                 break;
             }
@@ -1209,6 +1233,10 @@ impl Sim {
                 mem_issued += 1;
             }
         }
+        // Handed back empty, so cloning or forking the machine copies no
+        // stale slots.
+        ready.clear();
+        self.issue_buf = ready;
         Ok(())
     }
 

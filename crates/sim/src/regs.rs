@@ -218,6 +218,12 @@ impl RegisterFile {
                 })
     }
 
+    /// Whether flipping value `bit` leaves [`RegisterFile::state_eq`]
+    /// against the unflipped file true: any bit of a free register.
+    pub(crate) fn bit_is_dead(&self, bit: u64) -> bool {
+        self.is_free[(bit / self.profile.xlen() as u64) as usize]
+    }
+
     /// Number of value-bank chunks still physically shared with `other`
     /// (the complement of what a fork has had to copy).
     pub fn shared_value_chunks(&self, other: &RegisterFile) -> usize {

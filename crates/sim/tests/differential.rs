@@ -8,8 +8,17 @@ use softerr_isa::Emulator;
 use softerr_sim::{MachineConfig, Sim, SimOutcome};
 use softerr_workloads::{Scale, Workload};
 
+/// The paper machines, plus an A72 whose 100-entry issue queue spans two
+/// bitset words, so the queue's multi-word paths see every workload
+/// (blowfish at O2 and O3 fills it past 64 entries).
 fn machines() -> Vec<MachineConfig> {
-    MachineConfig::paper_machines()
+    let mut machines = MachineConfig::paper_machines();
+    machines.push(MachineConfig {
+        name: "A72 (100-entry IQ)".to_string(),
+        iq_entries: 100,
+        ..MachineConfig::cortex_a72()
+    });
+    machines
 }
 
 fn check_program(cfg: &MachineConfig, src: &str, level: OptLevel, what: &str) {

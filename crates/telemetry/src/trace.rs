@@ -432,6 +432,12 @@ mod tests {
 
     fn with_tracing(body: impl FnOnce()) -> Trace {
         let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        traced(body)
+    }
+
+    /// Runs `body` with tracing armed and drains the trace. The caller
+    /// holds `TRACE_LOCK`.
+    fn traced(body: impl FnOnce()) -> Trace {
         let _ = take_trace(); // clear leftovers from other tests
         set_tracing(true);
         body();
@@ -515,7 +521,10 @@ mod tests {
 
     #[test]
     fn take_trace_disables_and_resets() {
-        let trace = with_tracing(|| {
+        // Held through the asserts as well: they read the global switch and
+        // drain the global buffer, which another test could re-arm.
+        let _guard = TRACE_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+        let trace = traced(|| {
             let _sp = span("once");
         });
         assert_eq!(trace.spans.iter().filter(|s| s.name == "once").count(), 1);

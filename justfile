@@ -111,13 +111,19 @@ sampling-table:
 # so staying inside 3% proves disabled tracing is effectively free. The
 # bench also refreshes BENCH_injection_throughput.profile.txt (a traced
 # stage-attribution table explaining what the checkpoint row is made of).
+# Then the same for the simulator's cycles per second (Sim::step_cycle on
+# both machines) against BENCH_sim_throughput.json, at the default 20%.
 bench-gate:
     cp BENCH_injection_throughput.json target/bench-baseline.json
+    cp BENCH_sim_throughput.json target/bench-sim-baseline.json
     cargo bench -p softerr-bench --bench injection_throughput
     cargo run --release -p softerr-bench --bin bench_gate -- \
         target/bench-baseline.json BENCH_injection_throughput.json \
         --budget rf_campaign/checkpoint=0.03 \
         --budget l1i_campaign/importance=0.20
+    cargo bench -p softerr-bench --bench sim_throughput
+    cargo run --release -p softerr-bench --bin bench_gate -- \
+        target/bench-sim-baseline.json BENCH_sim_throughput.json
 
 # Distributed-study self-check: a coordinator plus two forked local
 # workers run the quick grid into a fresh store, then `--check-serial`
