@@ -151,12 +151,14 @@ pub fn stage_table(trace: &Trace) -> Table {
 /// Per-worker engine counters from `campaign.worker` spans: fault claims,
 /// fork/no-fork split, how children left the convoy (converged, ran to
 /// the program's end, graduated to run off the convoy because the convoy
-/// was full or the golden run halted first, filed as Timeout at a fixed
-/// point, asserted), and the simulated-cycle split between converged and
-/// ran-to-end children. One row per worker span in trace order, plus a
-/// `total` row.
+/// was full or the golden run halted first, filed while parked when the
+/// golden run halted, filed as Timeout at a fixed point, asserted), and
+/// the simulated-cycle split between converged and all other children.
+/// `converged` and `graduated` exclude parked verdicts; both cycle columns
+/// count only simulated cycles, never those a child spent parked. One row
+/// per worker span in trace order, plus a `total` row.
 pub fn worker_table(trace: &Trace) -> Table {
-    const COUNTERS: [&str; 11] = [
+    const COUNTERS: [&str; 12] = [
         "claimed",
         "fresh",
         "forks",
@@ -164,6 +166,7 @@ pub fn worker_table(trace: &Trace) -> Table {
         "converged",
         "ended",
         "graduated",
+        "parked",
         "fixed_points",
         "asserts",
         "converged_cycles",
@@ -365,17 +368,18 @@ mod tests {
 
     #[test]
     fn worker_table_sums_counters() {
-        let fields = |claimed: u64, forks: u64, fixed_points: u64| {
+        let fields = |claimed: u64, forks: u64, fixed_points: u64, parked: u64| {
             vec![
                 ("claimed", FieldValue::U64(claimed)),
                 ("forks", FieldValue::U64(forks)),
                 ("converged", FieldValue::U64(1)),
+                ("parked", FieldValue::U64(parked)),
                 ("fixed_points", FieldValue::U64(fixed_points)),
             ]
         };
         let t = trace(vec![
-            span("campaign.worker", 0, 1_000_000, 1, 0, fields(10, 4, 2)),
-            span("campaign.worker", 0, 2_000_000, 2, 0, fields(20, 6, 5)),
+            span("campaign.worker", 0, 1_000_000, 1, 0, fields(10, 4, 2, 3)),
+            span("campaign.worker", 0, 2_000_000, 2, 0, fields(20, 6, 5, 0)),
         ]);
         let csv = worker_table(&t).to_csv();
         let column = |name: &str| {
@@ -387,6 +391,7 @@ mod tests {
         assert_eq!(total[column("claimed")], "30");
         assert_eq!(total[column("forks")], "10");
         assert_eq!(total[column("fixed_points")], "7");
+        assert_eq!(total[column("parked")], "3");
         assert_eq!(total[column("graduated")], "0", "absent fields read 0");
         assert_eq!(total[column("ms")], "3.000", "busy ms sums");
     }

@@ -63,8 +63,9 @@ pub use softerr_inject::{
 };
 pub use softerr_isa::{disassemble, Emulator, Profile, Program};
 pub use softerr_sim::{
-    LiveWindow, LivenessMap, MachineConfig, OccupancyHistogram, ResidencyReport, Sim, SimCounters,
-    SimOutcome, SimStats, Structure, StructureLiveness, StructureResidency,
+    BitSet, LiveWindow, LivenessMap, MachineConfig, OccupancyHistogram, ResidencyReport, Sim,
+    SimCounters, SimOutcome, SimStats, StateDelta, Structure, StructureLiveness,
+    StructureResidency,
 };
 /// The structured event/telemetry facade (see [`mod@telemetry`]).
 pub use softerr_telemetry as telemetry;

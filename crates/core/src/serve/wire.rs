@@ -213,6 +213,34 @@ mod tests {
         );
     }
 
+    /// A raw frame: the big-endian length prefix, then `payload`.
+    fn raw_frame(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_be_bytes().to_vec();
+        frame.extend_from_slice(payload);
+        frame
+    }
+
+    #[test]
+    fn deeply_nested_frames_are_rejected_not_a_stack_overflow() {
+        let frame = raw_frame(&vec![b'['; 1 << 20]);
+        let err = read_frame::<Request>(&mut frame.as_slice()).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert!(err.to_string().contains("nesting"), "{err}");
+        // Nesting within the cap still parses.
+        let nested = format!("{}{}", "[".repeat(100), "]".repeat(100));
+        let value: serde::Value = read_frame(&mut raw_frame(nested.as_bytes()).as_slice()).unwrap();
+        let mut depth = 0;
+        let mut v = &value;
+        while let serde::Value::Array(items) = v {
+            depth += 1;
+            match items.first() {
+                Some(inner) => v = inner,
+                None => break,
+            }
+        }
+        assert_eq!(depth, 100);
+    }
+
     #[test]
     fn study_config_survives_the_wire_bit_exactly() {
         let cfg = StudyConfig::default();

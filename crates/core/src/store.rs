@@ -491,6 +491,19 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_entry_is_a_miss_and_is_quarantined() {
+        let store = temp_store("nested");
+        let (key, _) = sample_cell();
+        let path = store.root().join("cells/4444444444444444.json");
+        std::fs::write(&path, vec![b'['; 1 << 20]).unwrap();
+        assert!(store.load("4444444444444444", &key).is_none());
+        assert_eq!(store.misses(), 1);
+        assert_eq!(store.quarantined(), 1);
+        assert!(!path.exists());
+        std::fs::remove_dir_all(store.root()).ok();
+    }
+
+    #[test]
     fn absent_cell_is_a_plain_miss_not_a_read_error() {
         let store = temp_store("absent");
         let (key, _) = sample_cell();

@@ -7,7 +7,7 @@ use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
 use softerr_isa::Program;
-use softerr_sim::{LivenessMap, MachineConfig, Sim, SimOutcome, Structure};
+use softerr_sim::{LivenessMap, MachineConfig, Sim, SimOutcome, StateDelta, Structure};
 use softerr_telemetry::{event, span, Level, Span};
 use std::borrow::Cow;
 use std::collections::HashSet;
@@ -1325,14 +1325,19 @@ struct WorkerStats {
     /// Faults classified Masked without riding the convoy (flip landed in
     /// dead state or past the program end).
     masked_nofork: u64,
-    /// Children classified by proven re-convergence to the golden state.
+    /// Children classified by proven re-convergence to the golden state
+    /// (not counting parked verdicts).
     converged: u64,
     /// Children that reached their own end (halt/crash/assert/timeout)
     /// while on the convoy.
     ended: u64,
     /// Children run to their own end off the convoy: graduated past
-    /// `MAX_CONVOY`, or still riding when the golden run halted.
+    /// `MAX_CONVOY`, or still riding unparked when the golden run halted
+    /// (not counting parked verdicts).
     graduated: u64,
+    /// Children filed while parked when the golden run halted: they still
+    /// differed from it only in state it never read again.
+    parked: u64,
     /// Children filed as Timeout at a fixed point of the cycle transition
     /// (a deadlock) while on the convoy, instead of being simulated to the
     /// cycle budget.
@@ -1341,8 +1346,9 @@ struct WorkerStats {
     asserts: u64,
     /// Post-injection cycles simulated by children that converged.
     converged_cycles: u64,
-    /// Post-injection cycles simulated by children that ran to an end or
-    /// to a fixed point (the cycles a fixed point skips are not counted).
+    /// Post-injection cycles simulated by children that ran to an end, to
+    /// a fixed point or to a parked verdict. Only simulated cycles count:
+    /// not those a fixed point skips, nor those a child spends parked.
     ran_cycles: u64,
 }
 
@@ -1355,6 +1361,7 @@ impl WorkerStats {
         sp.record("converged", self.converged);
         sp.record("ended", self.ended);
         sp.record("graduated", self.graduated);
+        sp.record("parked", self.parked);
         sp.record("fixed_points", self.fixed_points);
         sp.record("asserts", self.asserts);
         sp.record("converged_cycles", self.converged_cycles);
@@ -1413,6 +1420,16 @@ impl Engine<'_, '_> {
     /// ([`Sim::is_fixed_point`], probed at a convergence check only when it
     /// retired nothing since its previous check) would spin until the cycle
     /// budget, so it is filed as that Timeout.
+    ///
+    /// A child that still differs from the golden machine only in register
+    /// values and per-set cache state ([`Sim::delta`]) is *parked* at a
+    /// failed check: it stops stepping while the golden run advances, and
+    /// the golden simulator watches that state ([`Sim::watch`]). Until the
+    /// golden run reads it, the child would have mirrored the golden run
+    /// outside its delta, so when the golden run reads it the child is
+    /// unparked and stepped through the cycles it skipped, and when the
+    /// golden run halts first the child would have halted with it: Masked
+    /// if its output matched at parking, an SDC otherwise.
     ///
     /// In `record` mode each fork is additionally diffed against the golden
     /// simulator at the injection cycle ([`Sim::state_divergence`]) to name
@@ -1505,11 +1522,17 @@ impl Engine<'_, '_> {
                 interval: FIRST_CHECK_INTERVAL,
                 divergence,
                 prop,
+                parked: None,
             });
-            if convoy.len() > MAX_CONVOY {
-                // Bound memory: graduate the oldest child and run it to its
-                // own end off-convoy.
-                let oldest = convoy.remove(0);
+            if convoy.iter().filter(|c| c.parked.is_none()).count() > MAX_CONVOY {
+                // Bound memory: graduate the oldest live child and run it to
+                // its own end off-convoy. Parking has its own bound.
+                let oldest = convoy.remove(
+                    convoy
+                        .iter()
+                        .position(|c| c.parked.is_none())
+                        .expect("the convoy has live children"),
+                );
                 let (slot, outcome) = self.finish_child(oldest, &mut stats);
                 self.push(&mut results, slot, outcome);
             }
@@ -1580,19 +1603,72 @@ impl Engine<'_, '_> {
         false
     }
 
-    /// Advances every convoy child to the golden simulator's current cycle,
-    /// classifying children that reach their own end, panic, or (when the
-    /// golden run is still live) re-converge to the golden state.
+    /// Advances every live convoy child to the golden simulator's current
+    /// cycle, classifying children that reach their own end, panic, or
+    /// (when the golden run is still live) re-converge to the golden state.
+    ///
+    /// Parked children whose delta the golden run read during this advance
+    /// are unparked first, so they step through the cycles they skipped.
+    /// The others keep their check schedule without stepping, and are filed
+    /// when the golden run has halted. A child is parked at a failed check
+    /// when it has a delta, takes no propagation samples, and fewer than
+    /// `MAX_CONVOY` children are parked.
     fn lockstep_children(
         &self,
-        golden: &Sim,
+        golden: &mut Sim,
         convoy: &mut Vec<Child>,
         results: &mut Vec<(usize, Outcome)>,
         golden_halted: bool,
         stats: &mut WorkerStats,
     ) {
         let cycle = golden.cycle();
+        let hits = golden.take_watch_hits();
+        let mut rewatch = false;
+        if !hits.is_empty() {
+            for child in convoy.iter_mut() {
+                if child
+                    .parked
+                    .as_ref()
+                    .is_some_and(|p| p.delta.intersects(&hits))
+                {
+                    child.parked = None;
+                    rewatch = true;
+                }
+            }
+        }
+        let mut parked = convoy.iter().filter(|c| c.parked.is_some()).count();
         convoy.retain_mut(|child| {
+            if let Some(p) = &child.parked {
+                if golden_halted {
+                    // The golden run halted without reading the child's
+                    // delta, so the child halts with it: output = its
+                    // prefix at parking ++ the golden suffix since. This
+                    // is the record of a converged child.
+                    stats.parked += 1;
+                    stats.ran_cycles += child.sim.cycle().saturating_sub(child.born);
+                    let outcome = Outcome {
+                        class: if p.output_eq {
+                            FaultClass::Masked
+                        } else {
+                            FaultClass::Sdc
+                        },
+                        end_cycle: self.inj.golden.cycles,
+                        divergence: child.divergence.take(),
+                        ..Outcome::masked_at(0)
+                    };
+                    self.push(results, child.slot, outcome);
+                    return false;
+                }
+                if child.next_check <= cycle {
+                    // The check lockstep would make fails (the delta is
+                    // not empty) and finds no fixed point (the golden run
+                    // halts). The child retires what the golden run does.
+                    child.retired_at_check =
+                        child.sim.retired() + golden.retired() - p.golden_retired;
+                    child.back_off(cycle);
+                }
+                return true;
+            }
             let end = match catch_unwind(AssertUnwindSafe(|| child.sim.run_to_cycle(cycle))) {
                 Ok(end) => end,
                 Err(_) => {
@@ -1700,16 +1776,34 @@ impl Engine<'_, '_> {
                     return false;
                 }
                 child.retired_at_check = child.sim.retired();
-                child.interval = (child.interval * 2).min(MAX_CHECK_INTERVAL);
-                child.next_check = cycle + child.interval;
+                child.back_off(cycle);
+                if child.prop.is_none() && parked < MAX_CONVOY {
+                    if let Some(delta) = child.sim.delta(golden) {
+                        child.parked = Some(Parked {
+                            delta,
+                            golden_retired: golden.retired(),
+                            output_eq: child.sim.output() == golden.output(),
+                        });
+                        parked += 1;
+                        rewatch = true;
+                    }
+                }
             }
             true
         });
+        if rewatch {
+            let mut watched = StateDelta::default();
+            for p in convoy.iter().filter_map(|c| c.parked.as_ref()) {
+                watched.union_with(&p.delta);
+            }
+            golden.watch(&watched);
+        }
     }
 
     /// Runs a child that outlived the convoy to its own terminal outcome,
     /// under the same 2× golden-time budget as the fresh path.
     fn finish_child(&self, mut child: Child, stats: &mut WorkerStats) -> (usize, Outcome) {
+        debug_assert!(child.parked.is_none(), "parked children never graduate");
         stats.graduated += 1;
         let budget = 2 * self.inj.golden.cycles;
         let propagation = child.take_propagation(None);
@@ -1754,7 +1848,8 @@ const FIRST_CHECK_INTERVAL: u64 = 16;
 /// Cap on the exponential back-off between convergence checks.
 const MAX_CHECK_INTERVAL: u64 = 4096;
 
-/// Convoy size bound; the oldest child graduates beyond this.
+/// Convoy size bound; the oldest live child graduates beyond this. At most
+/// as many children again may be parked.
 const MAX_CONVOY: usize = 8;
 
 /// One forked, faulted simulation riding a convoy.
@@ -1777,9 +1872,30 @@ struct Child {
     divergence: Option<DivergenceSite>,
     /// In-flight propagation timeline (opt-in sampled subset only).
     prop: Option<PropCapture>,
+    /// Set while the child is parked: not stepped, because it differs from
+    /// the golden machine only in state the golden run has not read since.
+    parked: Option<Parked>,
+}
+
+/// What a parked child needs to resume or to be filed.
+struct Parked {
+    /// The state the child differs in ([`Sim::delta`] at parking).
+    delta: StateDelta,
+    /// The golden retired count at parking; the child retires as many as
+    /// the golden run while parked.
+    golden_retired: u64,
+    /// Whether the child's output equalled the golden output at parking.
+    output_eq: bool,
 }
 
 impl Child {
+    /// Doubles the check interval (up to the cap) after a failed check at
+    /// `cycle`.
+    fn back_off(&mut self, cycle: u64) {
+        self.interval = (self.interval * 2).min(MAX_CHECK_INTERVAL);
+        self.next_check = cycle + self.interval;
+    }
+
     /// The next golden cycle at which the convoy must pause for this
     /// child: its convergence check or its propagation sample, whichever
     /// comes first.

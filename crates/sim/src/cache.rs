@@ -11,6 +11,7 @@
 
 use crate::config::CacheGeometry;
 use crate::cow::CowVec;
+use crate::delta::{BitSet, Watch};
 
 /// Modeled physical address width (bits) used for tag sizing.
 pub const PHYS_ADDR_BITS: u32 = 32;
@@ -42,6 +43,9 @@ pub struct Cache {
     pub hits: u64,
     /// Statistics: demand misses.
     pub misses: u64,
+    /// Sets whose lookups are noted ([`Cache::watch`]). Not machine state:
+    /// [`Cache::state_eq`] ignores it.
+    watch: Option<Box<Watch>>,
 }
 
 impl Cache {
@@ -61,6 +65,7 @@ impl Cache {
             use_counter: 0,
             hits: 0,
             misses: 0,
+            watch: None,
         }
     }
 
@@ -94,12 +99,47 @@ impl Cache {
     /// orderings evolve identically forever. Stamps of invalid ways are dead
     /// (rewritten by `fill` before `victim` can ever consult them) and are
     /// ignored.
+    ///
+    /// Every rule above is per set, so the comparison is a walk over the
+    /// sets that differ ([`Cache::delta`]), stopped at the first.
     pub fn state_eq(&self, other: &Cache) -> bool {
-        self.valid == other.valid
-            && self.valid_lines_eq(&self.tags, &other.tags, 1)
-            && self.valid_lines_eq(&self.dirty, &other.dirty, 1)
-            && self.valid_lines_eq(&self.data, &other.data, self.geom.line_bytes as usize)
-            && self.lru_order_eq(other)
+        self.differing_sets(other).next().is_none()
+    }
+
+    /// The sets whose state differs from `other`'s under the
+    /// [`Cache::state_eq`] rules: valid bits, the tag, dirty bit and data of
+    /// valid lines, and LRU order. Empty exactly when `state_eq` holds.
+    pub fn delta(&self, other: &Cache) -> BitSet {
+        self.differing_sets(other).collect()
+    }
+
+    /// Differing sets, possibly repeated. Each array contributes only the
+    /// lines or sets overlapping its genuinely differing chunks
+    /// ([`CowVec::differing_ranges`]) and tests only its own field there;
+    /// tag, dirty bit and data are compared for lines valid here, which
+    /// covers every valid line once the valid bits agree. Lazy, so a
+    /// caller that stops at the first set compares no further chunks.
+    fn differing_sets<'c>(&'c self, other: &'c Cache) -> impl Iterator<Item = usize> + 'c {
+        let valid = self
+            .valid
+            .differing_ranges(&other.valid)
+            .flat_map(|(start, end)| start..end)
+            .filter(|&line| self.valid[line] != other.valid[line]);
+        let lines = valid
+            .chain(self.differing_valid_lines(&self.tags, &other.tags, 1))
+            .chain(self.differing_valid_lines(&self.dirty, &other.dirty, 1))
+            .chain(self.differing_valid_lines(
+                &self.data,
+                &other.data,
+                self.geom.line_bytes as usize,
+            ));
+        let ways = self.geom.ways;
+        let lru = self
+            .lru
+            .differing_ranges(&other.lru)
+            .flat_map(move |(start, end)| start / ways..=(end - 1) / ways)
+            .filter(|&set| !self.set_order_eq(other, set));
+        lines.map(move |line| line / ways).chain(lru)
     }
 
     /// Whether flipping data-array `bit` leaves [`Cache::state_eq`] against
@@ -116,37 +156,26 @@ impl Cache {
         bit % per_line != self.tag_width as u64 && !self.valid[(bit / per_line) as usize]
     }
 
-    /// Whether every valid line overlapping a genuinely differing chunk of
-    /// a per-line array (`per_line` elements per line) holds equal content
-    /// in `ours` and `theirs`. Callers have already established `valid`
-    /// equality, so invalid lines are dead on both sides and skipped.
-    fn valid_lines_eq<T: Clone + PartialEq>(
-        &self,
-        ours: &CowVec<T>,
-        theirs: &CowVec<T>,
+    /// Valid lines overlapping a genuinely differing chunk of a per-line
+    /// array (`per_line` elements per line) whose content differs between
+    /// `ours` and `theirs`.
+    fn differing_valid_lines<'c, T: Clone + PartialEq>(
+        &'c self,
+        ours: &'c CowVec<T>,
+        theirs: &'c CowVec<T>,
         per_line: usize,
-    ) -> bool {
-        ours.differing_ranges(theirs).all(|(start, end)| {
-            (start / per_line..end.div_ceil(per_line)).all(|line| {
-                !self.valid[line]
-                    || ours.slice(line * per_line, per_line)
-                        == theirs.slice(line * per_line, per_line)
+    ) -> impl Iterator<Item = usize> + 'c {
+        ours.differing_ranges(theirs)
+            .flat_map(move |(start, end)| start / per_line..end.div_ceil(per_line))
+            .filter(move |&line| {
+                self.valid[line]
+                    && ours.slice(line * per_line, per_line)
+                        != theirs.slice(line * per_line, per_line)
             })
-        })
     }
 
-    /// Compares per-set relative LRU order, walking only the sets that
-    /// overlap lru chunks with genuinely different contents.
-    fn lru_order_eq(&self, other: &Cache) -> bool {
-        self.lru.differing_ranges(&other.lru).all(|(start, end)| {
-            let first_set = start / self.geom.ways;
-            let last_set = (end - 1) / self.geom.ways;
-            (first_set..=last_set).all(|set| self.set_order_eq(other, set))
-        })
-    }
-
-    /// Whether one set's valid ways have the same pairwise recency ordering
-    /// in both caches. Callers have already established `valid` equality.
+    /// Whether one set's valid ways (valid here) have the same pairwise
+    /// recency ordering in both caches.
     fn set_order_eq(&self, other: &Cache, set: usize) -> bool {
         let base = set * self.geom.ways;
         for i in 0..self.geom.ways {
@@ -204,9 +233,32 @@ impl Cache {
         (addr >> (self.geom.offset_bits() + self.geom.set_bits())) & ((1u64 << self.tag_width) - 1)
     }
 
+    /// Watches exactly the sets in `sets` (none when it is empty), dropping
+    /// any earlier watch and its hits.
+    pub(crate) fn watch(&mut self, sets: &BitSet) {
+        self.watch = Watch::on(sets);
+    }
+
+    /// The watched sets [`Cache::lookup`] looked up since the watch was set
+    /// or the hits were last taken.
+    pub(crate) fn take_watch_hits(&mut self) -> BitSet {
+        self.watch
+            .as_deref_mut()
+            .map(Watch::take_hits)
+            .unwrap_or_default()
+    }
+
     /// Looks up `addr`; on a hit returns the line index and refreshes LRU.
+    ///
+    /// Every access to a set starts here: a demand hit, a miss (before
+    /// [`Cache::victim`], [`Cache::fill`] and the eviction on the same
+    /// set), and an L1 write-back into L2. So this is where a watched set
+    /// is noted as read.
     pub fn lookup(&mut self, addr: u64) -> Option<usize> {
         let set = self.set_of(addr);
+        if let Some(w) = self.watch.as_deref_mut() {
+            w.note(set);
+        }
         let tag = self.tag_of(addr);
         for way in 0..self.geom.ways {
             let line = set * self.geom.ways + way;
@@ -539,6 +591,49 @@ mod tests {
                 "valid bit of line {line}"
             );
         }
+    }
+
+    #[test]
+    fn delta_names_each_differing_set_once() {
+        let mut a = small();
+        for addr in [0x1000u64, 0x1040, 0x2040] {
+            let v = a.victim(addr);
+            a.fill(v, addr, &[1; 64]);
+        }
+        let per_line = a.tag_width() as u64 + 2;
+        let line0 = a.lookup(0x1000).unwrap();
+        let mut b = a.clone();
+        assert!(b.delta(&a).is_empty());
+        // Set 0: a tag and a data flip in its valid line. Set 1: the LRU
+        // order of its two valid lines. Set 3: a valid bit. Set 2 (lines 4
+        // and 5) stays invalid, so flips in its dead lines are no
+        // difference.
+        b.flip_tag_bit(line0 as u64 * per_line + 1);
+        b.flip_data_bit(line0 as u64 * 64 * 8 + 5);
+        b.lookup(0x1040);
+        b.flip_data_bit(4 * 64 * 8 + 5);
+        b.flip_tag_bit(5 * per_line + 2);
+        b.flip_tag_bit(7 * per_line + b.tag_width() as u64);
+        assert_eq!(b.delta(&a).iter().collect::<Vec<_>>(), vec![0, 1, 3]);
+        assert!(!b.state_eq(&a) && !a.state_eq(&b));
+    }
+
+    #[test]
+    fn watch_notes_looked_up_sets() {
+        let mut c = small();
+        let sets: BitSet = [1, 3].into_iter().collect();
+        c.watch(&sets);
+        c.lookup(0x1000); // set 0
+        c.lookup(0x10c0); // set 3
+        assert_eq!(c.take_watch_hits().iter().collect::<Vec<_>>(), vec![3]);
+        let fork = c.clone();
+        c.watch(&BitSet::default());
+        c.lookup(0x1040);
+        assert!(
+            c.take_watch_hits().is_empty(),
+            "an empty watch watches nothing"
+        );
+        assert!(fork.state_eq(&c), "the watch is not cache state");
     }
 
     #[test]

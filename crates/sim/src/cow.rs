@@ -3,10 +3,13 @@
 //! The convoy engine forks thousands of short-lived children from one golden
 //! simulator. A deep clone of every cache array (~1 MB for the A15 L2 data
 //! array alone) per fork dwarfs the work most children actually do before
-//! re-converging. [`CowVec`] makes the fork itself O(chunks): state lives in
-//! fixed-size chunks behind [`Arc`]s, a clone only bumps refcounts, and the
-//! first write to a shared chunk materializes a private copy of just that
-//! chunk via [`Arc::make_mut`].
+//! re-converging. [`CowVec`] makes the fork itself O(1): state lives in
+//! fixed-size chunks behind [`Arc`]s, the table of chunk handles sits behind
+//! one more [`Arc`], and a clone bumps that one refcount. The first write
+//! after a clone copies the table (one refcount bump per chunk) and then
+//! materializes a private copy of just the written chunk via
+//! [`Arc::make_mut`]; later writes to an owned chunk cost two refcount
+//! checks.
 //!
 //! Chunk-level `Arc` identity doubles as an implicit dirty-since-fork set:
 //! a chunk is unchanged between a parent and a child if and only if the two
@@ -14,20 +17,21 @@
 //! across forks taken at different times with no per-child bookkeeping —
 //! a chunk the golden run writes *after* child A forked but *before* child B
 //! forked ptr-differs for A and ptr-matches for B, exactly the right answer
-//! for each. Equality checks exploit it as a fast path: shared chunks are
-//! equal by construction and are never walked.
+//! for each. Equality checks exploit it as a fast path: a shared table, or a
+//! shared chunk, is equal by construction and is never walked.
 
 use std::ops::Index;
 use std::sync::Arc;
 
-/// A fixed-length array stored as power-of-two-sized chunks behind `Arc`s.
+/// A fixed-length array stored as power-of-two-sized chunks behind `Arc`s,
+/// with the chunk table itself behind an `Arc`.
 ///
-/// Cloning is O(number of chunks) refcount bumps; writes copy at most one
-/// chunk. Indexing uses a shift/mask pair so the hot lookup paths pay no
-/// division.
+/// Cloning is one refcount bump; writes copy the table once per clone and
+/// at most one chunk each. Indexing uses a shift/mask pair so the hot
+/// lookup paths pay no division.
 #[derive(Debug, Clone)]
 pub struct CowVec<T> {
-    chunks: Vec<Arc<Vec<T>>>,
+    table: Arc<[Arc<[T]>]>,
     shift: u32,
     mask: usize,
     len: usize,
@@ -45,15 +49,15 @@ impl<T: Clone> CowVec<T> {
             chunk_len.is_power_of_two(),
             "chunk_len must be a power of two"
         );
-        let mut chunks = Vec::with_capacity(len.div_ceil(chunk_len));
+        let mut table = Vec::with_capacity(len.div_ceil(chunk_len));
         let mut remaining = len;
         while remaining > 0 {
             let n = remaining.min(chunk_len);
-            chunks.push(Arc::new(vec![fill.clone(); n]));
+            table.push(Arc::from(vec![fill.clone(); n]));
             remaining -= n;
         }
         CowVec {
-            chunks,
+            table: table.into(),
             shift: chunk_len.trailing_zeros(),
             mask: chunk_len - 1,
             len,
@@ -72,23 +76,30 @@ impl<T: Clone> CowVec<T> {
 
     /// Number of chunks.
     pub fn chunk_count(&self) -> usize {
-        self.chunks.len()
+        self.table.len()
     }
 
     /// Shared reference to element `i`.
     pub fn get(&self, i: usize) -> &T {
-        &self.chunks[i >> self.shift][i & self.mask]
+        &self.table[i >> self.shift][i & self.mask]
+    }
+
+    /// A private copy of chunk `c`: copies the table if a clone still
+    /// shares it, then the chunk if a clone still shares that.
+    fn chunk_mut(&mut self, c: usize) -> &mut [T] {
+        Arc::make_mut(&mut Arc::make_mut(&mut self.table)[c])
     }
 
     /// Writes element `i`, materializing a private copy of its chunk if the
     /// chunk is still shared with a fork sibling.
     pub fn set(&mut self, i: usize, value: T) {
-        Arc::make_mut(&mut self.chunks[i >> self.shift])[i & self.mask] = value;
+        *self.get_mut(i) = value;
     }
 
     /// Mutable reference to element `i` (copy-on-write at chunk granularity).
     pub fn get_mut(&mut self, i: usize) -> &mut T {
-        &mut Arc::make_mut(&mut self.chunks[i >> self.shift])[i & self.mask]
+        let off = i & self.mask;
+        &mut self.chunk_mut(i >> self.shift)[off]
     }
 
     /// Shared slice of `count` elements starting at `start`.
@@ -99,13 +110,10 @@ impl<T: Clone> CowVec<T> {
     /// a multiple of their natural record (e.g. a cache line) so contiguous
     /// records never straddle chunks.
     pub fn slice(&self, start: usize, count: usize) -> &[T] {
-        let chunk = start >> self.shift;
+        let chunk = &self.table[start >> self.shift];
         let off = start & self.mask;
-        assert!(
-            off + count <= self.chunks[chunk].len(),
-            "slice crosses a chunk boundary"
-        );
-        &self.chunks[chunk][off..off + count]
+        assert!(off + count <= chunk.len(), "slice crosses a chunk boundary");
+        &chunk[off..off + count]
     }
 
     /// Mutable slice of `count` elements starting at `start`
@@ -115,22 +123,28 @@ impl<T: Clone> CowVec<T> {
     ///
     /// Panics if the range crosses a chunk boundary.
     pub fn slice_mut(&mut self, start: usize, count: usize) -> &mut [T] {
-        let chunk = start >> self.shift;
         let off = start & self.mask;
-        assert!(
-            off + count <= self.chunks[chunk].len(),
-            "slice crosses a chunk boundary"
-        );
-        &mut Arc::make_mut(&mut self.chunks[chunk])[off..off + count]
+        let chunk = self.chunk_mut(start >> self.shift);
+        assert!(off + count <= chunk.len(), "slice crosses a chunk boundary");
+        &mut chunk[off..off + count]
+    }
+
+    /// Whether `other` still shares this vector's chunk table: a clone
+    /// that neither side has written since.
+    fn shares_table(&self, other: &CowVec<T>) -> bool {
+        Arc::ptr_eq(&self.table, &other.table)
     }
 
     /// Number of chunks still physically shared with `other` (same
     /// allocation). A fork followed by no writes shares every chunk; each
     /// write since the fork unshares at most one.
     pub fn shared_chunk_count(&self, other: &CowVec<T>) -> usize {
-        self.chunks
+        if self.shares_table(other) {
+            return self.chunk_count();
+        }
+        self.table
             .iter()
-            .zip(&other.chunks)
+            .zip(other.table.iter())
             .filter(|(a, b)| Arc::ptr_eq(a, b))
             .count()
     }
@@ -153,9 +167,15 @@ impl<T: Clone> CowVec<T> {
         assert_eq!(self.len, other.len, "length mismatch");
         assert_eq!(self.shift, other.shift, "chunking mismatch");
         let chunk_len = self.mask + 1;
-        self.chunks
+        let walked = if self.shares_table(other) {
+            0
+        } else {
+            self.chunk_count()
+        };
+        self.table
             .iter()
-            .zip(&other.chunks)
+            .zip(other.table.iter())
+            .take(walked)
             .enumerate()
             .filter(|(_, (a, b))| !Arc::ptr_eq(a, b) && a != b)
             .map(move |(i, (a, _))| (i * chunk_len, i * chunk_len + a.len()))
@@ -170,17 +190,18 @@ impl<T: Clone> Index<usize> for CowVec<T> {
     }
 }
 
-/// Chunk-wise equality with a pointer fast path: chunks still shared after a
-/// fork are equal by construction and are not walked.
+/// Chunk-wise equality with pointer fast paths: a shared table, and chunks
+/// still shared after a fork, are equal by construction and are not walked.
 impl<T: Clone + PartialEq> PartialEq for CowVec<T> {
     fn eq(&self, other: &CowVec<T>) -> bool {
         self.len == other.len
             && self.shift == other.shift
-            && self
-                .chunks
-                .iter()
-                .zip(&other.chunks)
-                .all(|(a, b)| Arc::ptr_eq(a, b) || a == b)
+            && (self.shares_table(other)
+                || self
+                    .table
+                    .iter()
+                    .zip(other.table.iter())
+                    .all(|(a, b)| Arc::ptr_eq(a, b) || a == b))
     }
 }
 
@@ -249,6 +270,37 @@ mod tests {
     fn cross_chunk_slice_panics() {
         let v = CowVec::new(64, 16, 0u8);
         let _ = v.slice(8, 16);
+    }
+
+    #[test]
+    fn a_write_unshares_only_the_writers_table_and_one_chunk() {
+        let a = CowVec::new(100, 16, 0u16);
+        let b = a.clone();
+        let mut c = a.clone();
+        assert!(a.shares_table(&b) && a.shares_table(&c));
+        c.set(40, 9);
+        assert!(a.shares_table(&b), "the other two clones still share");
+        assert!(!a.shares_table(&c) && !b.shares_table(&c));
+        assert_eq!(a.shared_chunk_count(&c), a.chunk_count() - 1);
+        assert_eq!(b.shared_chunk_count(&c), b.chunk_count() - 1);
+        assert_eq!((a[40], b[40], c[40]), (0, 0, 9));
+        // The table copy happens once per clone: a second chunk costs a
+        // chunk, not another table.
+        let table = Arc::as_ptr(&c.table);
+        c.set(90, 1);
+        assert_eq!(Arc::as_ptr(&c.table), table);
+        assert_eq!(a.shared_chunk_count(&c), a.chunk_count() - 2);
+    }
+
+    #[test]
+    fn differing_ranges_over_a_shared_table_is_empty() {
+        let mut a = CowVec::new(64, 8, 0u8);
+        a.set(3, 1);
+        let b = a.clone();
+        assert!(a.shares_table(&b));
+        assert_eq!(a.differing_ranges(&b).count(), 0);
+        assert_eq!(a, b);
+        assert_eq!(a.shared_chunk_count(&b), a.chunk_count());
     }
 
     #[test]

@@ -39,6 +39,7 @@ mod cache;
 mod config;
 mod counters;
 mod cow;
+mod delta;
 mod inject;
 mod iq;
 mod lsq;
@@ -53,6 +54,7 @@ pub use cache::{Cache, PHYS_ADDR_BITS};
 pub use config::{CacheGeometry, MachineConfig};
 pub use counters::{OccupancyHistogram, SimCounters};
 pub use cow::CowVec;
+pub use delta::{BitSet, StateDelta};
 pub use inject::Structure;
 pub use memsys::{MemErr, MemorySystem};
 pub use pipeline::{Sim, SimOutcome, SimStats};

@@ -4,6 +4,7 @@
 
 use crate::cache::Cache;
 use crate::config::MachineConfig;
+use crate::delta::BitSet;
 use crate::residency::{CacheResidency, LiveWindow};
 use softerr_isa::{MemFault, MemFaultKind, Memory, NULL_PAGE};
 
@@ -175,6 +176,35 @@ impl MemorySystem {
         if self.mem != other.mem {
             out.push("mem");
         }
+    }
+
+    /// The differing sets of L1I, L1D and L2 ([`Cache::delta`]), when guest
+    /// memory is equal (`None` otherwise).
+    pub(crate) fn cache_delta(&self, other: &MemorySystem) -> Option<[BitSet; 3]> {
+        (self.mem == other.mem).then(|| {
+            [
+                self.l1i.delta(&other.l1i),
+                self.l1d.delta(&other.l1d),
+                self.l2.delta(&other.l2),
+            ]
+        })
+    }
+
+    /// Watches exactly the given sets of L1I, L1D and L2 ([`Cache::watch`]).
+    pub(crate) fn watch(&mut self, sets: &[BitSet; 3]) {
+        self.l1i.watch(&sets[0]);
+        self.l1d.watch(&sets[1]);
+        self.l2.watch(&sets[2]);
+    }
+
+    /// The watched sets of L1I, L1D and L2 looked up since the watch was
+    /// set or the hits were last taken.
+    pub(crate) fn take_watch_hits(&mut self) -> [BitSet; 3] {
+        [
+            self.l1i.take_watch_hits(),
+            self.l1d.take_watch_hits(),
+            self.l2.take_watch_hits(),
+        ]
     }
 
     /// Architectural validity check for a demand access (the same rules the

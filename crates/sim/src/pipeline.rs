@@ -10,6 +10,7 @@
 use crate::bpred::BranchPredictor;
 use crate::config::MachineConfig;
 use crate::counters::{CounterState, OccupancyHistogram, SimCounters};
+use crate::delta::StateDelta;
 use crate::iq::{IqPayload, IssueQueue};
 use crate::lsq::{LsQueue, LsqLayout, LsqPayload, StoreCheck};
 use crate::memsys::{MemErr, MemorySystem};
@@ -145,6 +146,36 @@ pub struct Sim {
     /// `state_eq` and not inherited by forks.
     wb_masks: Option<HashMap<u64, u64>>,
 }
+
+/// One [`Sim::state_divergence`] probe: a component name and whether two
+/// machines differ in that component.
+type Probe = (&'static str, fn(&Sim, &Sim) -> bool);
+
+/// The probes [`Sim::state_divergence`] runs before the register file, in
+/// order: the cycle counter, front end and execution bookkeeping.
+const PROBES_BEFORE_RF: [Probe; 7] = [
+    ("cycle", |a, b| a.cycle != b.cycle),
+    ("fetch.pc", |a, b| a.fetch_pc != b.fetch_pc),
+    ("fetch.seq", |a, b| a.next_seq != b.next_seq),
+    ("fetch.stall", |a, b| {
+        a.fetch_stall != b.fetch_stall || a.fetch_wait != b.fetch_wait
+    }),
+    ("exec.divider", |a, b| a.divider_busy != b.divider_busy),
+    ("exec.in_flight", |a, b| a.in_flight != b.in_flight),
+    ("exec.wb_ready", |a, b| a.wb_ready != b.wb_ready),
+];
+
+/// The probes it runs after the register file and before the memory
+/// hierarchy, in order: the queues, in-flight micro-ops and the predictor.
+const PROBES_AFTER_RF: [Probe; 7] = [
+    ("rob", |a, b| a.rob != b.rob),
+    ("iq", |a, b| !a.iq.state_eq(&b.iq)),
+    ("lq", |a, b| a.lq != b.lq),
+    ("sq", |a, b| a.sq != b.sq),
+    ("decode_q", |a, b| a.decode_q != b.decode_q),
+    ("uops", |a, b| a.uops != b.uops),
+    ("bpred", |a, b| a.bp != b.bp),
+];
 
 impl Sim {
     /// Creates a simulator with `program` loaded and the entry state
@@ -507,14 +538,16 @@ impl Sim {
     /// Observational state that never feeds back into execution — the
     /// residency tracker and the event counters — is not inherited: a child
     /// exists to classify one fault, and dragging a multi-megabyte residency
-    /// map through every fork would defeat the point. The output stream *is*
-    /// kept, because convergence classification compares output prefixes.
+    /// map through every fork would defeat the point. Nor is the read watch
+    /// ([`Sim::watch`]). The output stream *is* kept, because convergence
+    /// classification compares output prefixes.
     pub fn fork(&self) -> Sim {
         let mut child = self.clone();
         child.residency = None;
         child.counters = None;
         child.wb_masks = None;
         child.mem.clear_residency();
+        child.watch(&StateDelta::default());
         child
     }
 
@@ -527,52 +560,13 @@ impl Sim {
     /// "where did state first diverge" answer the injector records.
     /// The full name list, in probe order, is [`Sim::DIVERGENCE_COMPONENTS`].
     pub fn state_divergence(&self, other: &Sim) -> Option<&'static str> {
-        if self.cycle != other.cycle {
-            return Some("cycle");
-        }
-        if self.fetch_pc != other.fetch_pc {
-            return Some("fetch.pc");
-        }
-        if self.next_seq != other.next_seq {
-            return Some("fetch.seq");
-        }
-        if self.fetch_stall != other.fetch_stall || self.fetch_wait != other.fetch_wait {
-            return Some("fetch.stall");
-        }
-        if self.divider_busy != other.divider_busy {
-            return Some("exec.divider");
-        }
-        if self.in_flight != other.in_flight {
-            return Some("exec.in_flight");
-        }
-        if self.wb_ready != other.wb_ready {
-            return Some("exec.wb_ready");
-        }
-        if !self.rf.state_eq(&other.rf) {
-            return Some("rf");
-        }
-        if self.rob != other.rob {
-            return Some("rob");
-        }
-        if !self.iq.state_eq(&other.iq) {
-            return Some("iq");
-        }
-        if self.lq != other.lq {
-            return Some("lq");
-        }
-        if self.sq != other.sq {
-            return Some("sq");
-        }
-        if self.decode_q != other.decode_q {
-            return Some("decode_q");
-        }
-        if self.uops != other.uops {
-            return Some("uops");
-        }
-        if self.bp != other.bp {
-            return Some("bpred");
-        }
-        self.mem.divergence(&other.mem)
+        let differs = |&(name, probe): &Probe| probe(self, other).then_some(name);
+        PROBES_BEFORE_RF
+            .iter()
+            .find_map(differs)
+            .or_else(|| (!self.rf.state_eq(&other.rf)).then_some("rf"))
+            .or_else(|| PROBES_AFTER_RF.iter().find_map(differs))
+            .or_else(|| self.mem.divergence(&other.mem))
     }
 
     /// Every component currently differing from `other`, in
@@ -584,54 +578,65 @@ impl Sim {
     /// answer. Purely observational — it reads both simulators and mutates
     /// neither, so sampling can never perturb classification.
     pub fn divergent_components(&self, other: &Sim) -> Vec<&'static str> {
-        let mut out = Vec::new();
-        if self.cycle != other.cycle {
-            out.push("cycle");
-        }
-        if self.fetch_pc != other.fetch_pc {
-            out.push("fetch.pc");
-        }
-        if self.next_seq != other.next_seq {
-            out.push("fetch.seq");
-        }
-        if self.fetch_stall != other.fetch_stall || self.fetch_wait != other.fetch_wait {
-            out.push("fetch.stall");
-        }
-        if self.divider_busy != other.divider_busy {
-            out.push("exec.divider");
-        }
-        if self.in_flight != other.in_flight {
-            out.push("exec.in_flight");
-        }
-        if self.wb_ready != other.wb_ready {
-            out.push("exec.wb_ready");
-        }
+        let differs = |&(name, probe): &Probe| probe(self, other).then_some(name);
+        let mut out: Vec<&'static str> = PROBES_BEFORE_RF.iter().filter_map(differs).collect();
         if !self.rf.state_eq(&other.rf) {
             out.push("rf");
         }
-        if self.rob != other.rob {
-            out.push("rob");
-        }
-        if !self.iq.state_eq(&other.iq) {
-            out.push("iq");
-        }
-        if self.lq != other.lq {
-            out.push("lq");
-        }
-        if self.sq != other.sq {
-            out.push("sq");
-        }
-        if self.decode_q != other.decode_q {
-            out.push("decode_q");
-        }
-        if self.uops != other.uops {
-            out.push("uops");
-        }
-        if self.bp != other.bp {
-            out.push("bpred");
-        }
+        out.extend(PROBES_AFTER_RF.iter().filter_map(differs));
         self.mem.divergent_components(&other.mem, &mut out);
         out
+    }
+
+    /// What this machine differs from `golden` in, when that is only
+    /// register values and per-set cache state: `Some` exactly when the two
+    /// agree on everything [`Sim::state_eq`] compares except the values of
+    /// allocated physical registers and the per-set state of L1I, L1D and
+    /// L2. An empty delta means `state_eq`.
+    ///
+    /// Such a machine evolves like `golden`, still differing only inside
+    /// the delta, for as long as `golden` neither reads one of its
+    /// registers at issue nor looks up one of its sets: nothing else reads
+    /// that state, so `golden`'s path never depends on it and this machine
+    /// makes the same reads and lookups. Writes and frees can only shrink
+    /// the delta; an allocation can add a register whose dead value
+    /// differed, but its writeback rewrites it before anything reads it.
+    /// [`Sim::watch`] reports when that stops holding.
+    pub fn delta(&self, golden: &Sim) -> Option<StateDelta> {
+        if PROBES_BEFORE_RF
+            .iter()
+            .chain(&PROBES_AFTER_RF)
+            .any(|(_, probe)| probe(self, golden))
+        {
+            return None;
+        }
+        let regs = self.rf.delta(&golden.rf)?;
+        let sets = self.mem.cache_delta(&golden.mem)?;
+        Some(StateDelta { regs, sets })
+    }
+
+    /// Watches exactly the registers and sets of `delta` (nothing when it
+    /// is empty), dropping any earlier watch and its hits: from here on the
+    /// issue stage notes reads of watched registers and [`Cache::lookup`]
+    /// notes watched sets, until [`Sim::take_watch_hits`] reports them.
+    ///
+    /// The watch is not machine state: [`Sim::state_eq`] ignores it and
+    /// [`Sim::fork`] does not inherit it. An unwatched machine pays one
+    /// emptiness test per register read and per cache lookup.
+    ///
+    /// [`Cache::lookup`]: crate::Cache::lookup
+    pub fn watch(&mut self, delta: &StateDelta) {
+        self.rf.watch(&delta.regs);
+        self.mem.watch(&delta.sets);
+    }
+
+    /// The watched registers and sets read since [`Sim::watch`] or the
+    /// previous call; the watch itself stays armed.
+    pub fn take_watch_hits(&mut self) -> StateDelta {
+        StateDelta {
+            regs: self.rf.take_watch_hits(),
+            sets: self.mem.take_watch_hits(),
+        }
     }
 
     /// Whether the machine sits at a fixed point of the cycle transition:
@@ -1197,13 +1202,13 @@ impl Sim {
             }
             let v1 = if p.has_src1 {
                 self.rf_reads += 1;
-                self.rf.read(s1)
+                self.rf.read_operand(s1)
             } else {
                 0
             };
             let v2 = if p.has_src2 {
                 self.rf_reads += 1;
-                self.rf.read(s2)
+                self.rf.read_operand(s2)
             } else {
                 0
             };

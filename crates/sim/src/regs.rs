@@ -7,6 +7,7 @@
 //! Assert-class failures when corrupted ROB fields feed it garbage.
 
 use crate::cow::CowVec;
+use crate::delta::{BitSet, Watch};
 use softerr_isa::Profile;
 
 /// Physical register index.
@@ -36,6 +37,9 @@ pub struct RegisterFile {
     pub arch_map: Vec<PhysReg>,
     free_list: Vec<PhysReg>,
     is_free: Vec<bool>,
+    /// Registers whose reads at issue are noted ([`RegisterFile::watch`]).
+    /// Not machine state: [`RegisterFile::state_eq`] ignores it.
+    watch: Option<Box<Watch>>,
 }
 
 impl RegisterFile {
@@ -61,6 +65,7 @@ impl RegisterFile {
             spec_map,
             free_list,
             is_free,
+            watch: None,
         }
     }
 
@@ -77,6 +82,31 @@ impl RegisterFile {
     /// Reads a physical register (callers must have validated the tag).
     pub fn read(&self, tag: PhysReg) -> u64 {
         self.values[tag as usize]
+    }
+
+    /// Reads a source operand for an issuing instruction: the one place
+    /// the pipeline reads register values. Notes the read when the
+    /// register is watched.
+    pub(crate) fn read_operand(&mut self, tag: PhysReg) -> u64 {
+        if let Some(w) = self.watch.as_deref_mut() {
+            w.note(tag as usize);
+        }
+        self.values[tag as usize]
+    }
+
+    /// Watches exactly the registers in `regs` (none when it is empty),
+    /// dropping any earlier watch and its hits.
+    pub(crate) fn watch(&mut self, regs: &BitSet) {
+        self.watch = Watch::on(regs);
+    }
+
+    /// The watched registers [`RegisterFile::read_operand`] read since the
+    /// watch was set or the hits were last taken.
+    pub(crate) fn take_watch_hits(&mut self) -> BitSet {
+        self.watch
+            .as_deref_mut()
+            .map(Watch::take_hits)
+            .unwrap_or_default()
     }
 
     /// Writes a physical register, masking to the profile width. Writes to
@@ -198,6 +228,19 @@ impl RegisterFile {
     /// on everything here (including the free list, so they allocate in the
     /// same order) therefore behave identically even if freed cells disagree.
     pub fn state_eq(&self, other: &RegisterFile) -> bool {
+        self.metadata_eq(other) && self.differing_values(other).next().is_none()
+    }
+
+    /// The allocated registers whose values differ from `other`'s, when
+    /// the two files agree on all rename metadata (`None` otherwise). Empty
+    /// exactly when [`RegisterFile::state_eq`] holds: both run the same
+    /// walk, and `state_eq` stops at its first register.
+    pub fn delta(&self, other: &RegisterFile) -> Option<BitSet> {
+        self.metadata_eq(other)
+            .then(|| self.differing_values(other).collect())
+    }
+
+    fn metadata_eq(&self, other: &RegisterFile) -> bool {
         self.profile == other.profile
             && self.nphys == other.nphys
             && self.ready == other.ready
@@ -205,17 +248,17 @@ impl RegisterFile {
             && self.arch_map == other.arch_map
             && self.free_list == other.free_list
             && self.is_free == other.is_free
-            // Value chunks still shared (or byte-identical) after a fork
-            // need no walk; only genuinely rewritten chunks are examined,
-            // with the free-register relaxation applied per cell.
-            && self
-                .values
-                .differing_ranges(&other.values)
-                .all(|(start, end)| {
-                    (start..end).all(|reg| {
-                        self.values[reg] == other.values[reg] || self.is_free[reg]
-                    })
-                })
+    }
+
+    /// Allocated registers whose values differ, in ascending order. Value
+    /// chunks still shared (or byte-identical) after a fork need no walk;
+    /// only genuinely rewritten chunks are examined, with the
+    /// free-register relaxation applied per cell.
+    fn differing_values<'r>(&'r self, other: &'r RegisterFile) -> impl Iterator<Item = usize> + 'r {
+        self.values
+            .differing_ranges(&other.values)
+            .flat_map(|(start, end)| start..end)
+            .filter(|&reg| !self.is_free[reg] && self.values[reg] != other.values[reg])
     }
 
     /// Whether flipping value `bit` leaves [`RegisterFile::state_eq`]
@@ -295,6 +338,24 @@ mod tests {
         // c is free again; allocating returns some register that is not a/b.
         let d = rf.alloc().unwrap();
         assert!(d != a && d != b);
+    }
+
+    #[test]
+    fn delta_names_allocated_registers_and_watch_notes_operand_reads() {
+        let mut a = RegisterFile::new(Profile::A32, 128);
+        let mut b = a.clone();
+        b.flip_bit(32 * 5); // allocated
+        b.flip_bit(32 * 100); // free: dead
+        let delta = b.delta(&a).expect("same rename state");
+        assert_eq!(delta.iter().collect::<Vec<_>>(), vec![5]);
+        assert!(!b.state_eq(&a));
+        b.alloc();
+        assert!(b.delta(&a).is_none(), "rename state differs");
+        a.watch(&delta);
+        a.read_operand(4);
+        assert!(a.take_watch_hits().is_empty());
+        a.read_operand(5);
+        assert_eq!(a.take_watch_hits(), delta);
     }
 
     #[test]

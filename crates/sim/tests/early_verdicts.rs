@@ -6,12 +6,18 @@
 //!   per-structure dead-bit rules cannot drift from the relaxations their
 //!   `state_eq` applies;
 //! * [`Sim::is_fixed_point`] must never fire on a running fault-free
-//!   machine, which always makes progress.
+//!   machine, which always makes progress;
+//! * [`Sim::delta`] must be empty exactly when [`Sim::state_eq`] holds, and
+//!   while the golden machine's watch ([`Sim::watch`]) sees no read, a
+//!   faulted child stepped alongside it must stay inside its delta, apart
+//!   from registers that were free (dead) when the watch was set and are
+//!   now allocated but not yet written: the argument that lets the convoy
+//!   stop stepping a parked child.
 
 use proptest::prelude::*;
 use softerr_cc::{Compiler, OptLevel};
 use softerr_isa::Program;
-use softerr_sim::{Cache, MachineConfig, Sim, SimOutcome, Structure};
+use softerr_sim::{Cache, MachineConfig, Sim, SimOutcome, StateDelta, Structure};
 use softerr_workloads::{Scale, Workload};
 use std::sync::OnceLock;
 
@@ -100,6 +106,97 @@ proptest! {
             }
         }
     }
+}
+
+/// Whether `child`'s delta against `golden` is empty exactly when the two
+/// are `state_eq`.
+fn delta_matches_state_eq(child: &Sim, golden: &Sim) -> bool {
+    child.delta(golden).is_some_and(|d| d.is_empty()) == child.state_eq(golden)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(16))]
+
+    #[test]
+    fn unread_deltas_only_shrink_in_lockstep(
+        a72 in any::<bool>(),
+        // Early enough that the warm-up never reaches the halt.
+        at in 0.0f64..0.9,
+        random in prop::collection::vec(any::<u64>(), 2),
+        warm in 0u64..48,
+        n in 1u64..300,
+    ) {
+        let (machine, program, cycles) = &machines()[usize::from(a72)];
+        let mut start = Sim::new(machine, program);
+        let cycle = (at * *cycles as f64) as u64;
+        prop_assert!(start.run_to_cycle(cycle).is_none());
+        let mut parked = 0;
+        for s in Structure::ALL {
+            for bit in probe_bits(&start, s, &random) {
+                let mut golden = start.fork();
+                let mut child = golden.fork();
+                child.flip_bit(s, bit);
+                prop_assert!(delta_matches_state_eq(&child, &golden), "{} {} bit {}", machine.name, s, bit);
+                // A few lockstep cycles first, so the child is seen both at
+                // the flip and after it spread.
+                let mut live = golden.run_to_cycle(cycle + warm).is_none()
+                    && child.run_to_cycle(cycle + warm).is_none();
+                let Some(delta) = child.delta(&golden).filter(|_| live) else {
+                    continue;
+                };
+                prop_assert!(delta_matches_state_eq(&child, &golden));
+                parked += usize::from(!delta.is_empty());
+                golden.watch(&delta);
+                let free: Vec<bool> = (0..golden.rf.nphys())
+                    .map(|r| golden.rf.is_free_reg(r as u8))
+                    .collect();
+                for _ in 0..n {
+                    let next = golden.cycle() + 1;
+                    live = golden.run_to_cycle(next).is_none() && child.run_to_cycle(next).is_none();
+                    if !live || !golden.take_watch_hits().is_empty() {
+                        break;
+                    }
+                    let now = child.delta(&golden);
+                    // Allocation does not rewrite a register; the writeback
+                    // that does comes before any read.
+                    let inside = |d: &StateDelta| {
+                        d.sets.iter().zip(&delta.sets).all(|(a, b)| a.is_subset(b))
+                            && d.regs.iter().all(|r| {
+                                delta.regs.contains(r)
+                                    || (free[r] && !golden.rf.is_ready(r as u8))
+                            })
+                    };
+                    prop_assert!(
+                        now.as_ref().is_some_and(inside),
+                        "{} {} bit {} at cycle {}: {:?} left {:?}",
+                        machine.name, s, bit, golden.cycle(), now, delta
+                    );
+                    prop_assert!(delta_matches_state_eq(&child, &golden));
+                }
+            }
+        }
+        prop_assert!(parked > 0, "some probe leaves a non-empty delta");
+    }
+}
+
+/// A forked machine carries no watch: hits are the golden run's alone.
+#[test]
+fn forks_do_not_inherit_the_watch() {
+    let (machine, program, _) = &machines()[0];
+    let mut golden = Sim::new(machine, program);
+    let mut all = StateDelta::default();
+    for reg in 0..machine.phys_regs {
+        all.regs.insert(reg);
+    }
+    golden.watch(&all);
+    let mut child = golden.fork();
+    assert!(golden.run_to_cycle(200).is_none() && child.run_to_cycle(200).is_none());
+    assert!(
+        !golden.take_watch_hits().regs.is_empty(),
+        "the golden run reads registers"
+    );
+    assert!(child.take_watch_hits().is_empty());
+    assert!(child.state_eq(&golden), "the watch is not machine state");
 }
 
 /// A fault-free run retires, fetches or counts down something every cycle

@@ -112,10 +112,13 @@ sampling-table:
 # bench also refreshes BENCH_injection_throughput.profile.txt (a traced
 # stage-attribution table explaining what the checkpoint row is made of).
 # Then the same for the simulator's cycles per second (Sim::step_cycle on
-# both machines) against BENCH_sim_throughput.json, at the default 20%.
+# both machines) against BENCH_sim_throughput.json, and for the compiler's
+# time per optimization level against BENCH_compile_speed.json, both at the
+# default 20%.
 bench-gate:
     cp BENCH_injection_throughput.json target/bench-baseline.json
     cp BENCH_sim_throughput.json target/bench-sim-baseline.json
+    cp BENCH_compile_speed.json target/bench-compile-baseline.json
     cargo bench -p softerr-bench --bench injection_throughput
     cargo run --release -p softerr-bench --bin bench_gate -- \
         target/bench-baseline.json BENCH_injection_throughput.json \
@@ -124,6 +127,9 @@ bench-gate:
     cargo bench -p softerr-bench --bench sim_throughput
     cargo run --release -p softerr-bench --bin bench_gate -- \
         target/bench-sim-baseline.json BENCH_sim_throughput.json
+    cargo bench -p softerr-bench --bench compile_speed
+    cargo run --release -p softerr-bench --bin bench_gate -- \
+        target/bench-compile-baseline.json BENCH_compile_speed.json
 
 # Distributed-study self-check: a coordinator plus two forked local
 # workers run the quick grid into a fresh store, then `--check-serial`
