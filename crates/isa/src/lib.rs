@@ -3,9 +3,10 @@
 //! The instruction-set substrate for the softerr soft-error vulnerability
 //! study: a compact load/store RISC ISA with a fixed 32-bit encoding, two
 //! profiles standing in for the paper's Armv7 (Cortex-A15) and Armv8
-//! (Cortex-A72) targets, a guest memory model, and an architectural
-//! (functional) reference emulator used as the golden model by the
-//! cycle-level simulator and the compiler test suites.
+//! (Cortex-A72) targets, a paged copy-on-write guest memory model (over
+//! [`CowVec`], the chunked storage the simulator's arrays share), and an
+//! architectural (functional) reference emulator used as the golden model
+//! by the cycle-level simulator and the compiler test suites.
 //!
 //! The encoding is deliberately *sparse*: most random 32-bit words do not
 //! decode to a valid instruction, so single-bit upsets in instruction-cache
@@ -32,6 +33,7 @@
 //! ```
 #![warn(missing_docs)]
 
+mod cow;
 mod disasm;
 mod emu;
 mod instr;
@@ -41,6 +43,7 @@ mod program;
 mod reg;
 mod trap;
 
+pub use cow::CowVec;
 pub use disasm::disassemble;
 pub use emu::{Emulator, RunOutcome};
 pub use instr::{

@@ -1,8 +1,8 @@
 //! Flat guest memory with a protected null page and natural-alignment rules.
 
+use crate::CowVec;
 use serde::{Deserialize, Serialize};
 use std::fmt;
-use std::sync::Arc;
 
 /// Kind of guest memory fault.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
@@ -45,35 +45,32 @@ impl std::error::Error for MemFault {}
 /// Size of the unmapped guard page at address zero.
 pub const NULL_PAGE: u64 = 0x1000;
 
+/// Size of a guest memory page: the unit [`Memory`] shares between clones
+/// and copies on a write.
+const PAGE_BYTES: usize = 4096;
+
 /// Flat little-endian guest memory.
 ///
 /// The first 4 KiB are unmapped so that null-pointer dereferences fault, as
 /// they would under an OS; everything else is readable and writable.
 ///
-/// The byte store is copy-on-write: cloning a `Memory` shares the backing
-/// allocation, and the first write after a clone materializes a private
-/// copy. This makes forking a simulator from a checkpoint cheap — suffix
-/// runs that never write back to main memory (the common case for cached
-/// workloads) never pay for a copy of guest memory.
-#[derive(Debug, Clone)]
+/// The bytes are copy-on-write pages ([`CowVec`] chunks of 4 KiB): new
+/// memory points every page at one shared zero page, cloning a `Memory`
+/// shares every page, and the first write to a page after either copies
+/// that page alone. So building a machine allocates only the pages its
+/// program image occupies, forking one copies nothing, and a forked
+/// child's write-back to memory copies one page. Equality is by content;
+/// pages still shared are equal without being compared.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Memory {
-    bytes: Arc<Vec<u8>>,
+    bytes: CowVec<u8>,
 }
-
-impl PartialEq for Memory {
-    fn eq(&self, other: &Memory) -> bool {
-        // Clones that were never written to still share the allocation.
-        Arc::ptr_eq(&self.bytes, &other.bytes) || self.bytes == other.bytes
-    }
-}
-
-impl Eq for Memory {}
 
 impl Memory {
-    /// Allocates `size` bytes of zeroed guest memory.
+    /// Creates `size` bytes of zeroed guest memory.
     pub fn new(size: u64) -> Memory {
         Memory {
-            bytes: Arc::new(vec![0; size as usize]),
+            bytes: CowVec::new(size as usize, PAGE_BYTES, 0),
         }
     }
 
@@ -131,9 +128,8 @@ impl Memory {
     /// out-of-range access.
     pub fn write(&mut self, addr: u64, size: u64, value: u64) -> Result<(), MemFault> {
         let base = self.check(addr, size)?;
-        let bytes = Arc::make_mut(&mut self.bytes);
         for i in 0..size as usize {
-            bytes[base + i] = (value >> (8 * i)) as u8;
+            self.bytes.set(base + i, (value >> (8 * i)) as u8);
         }
         Ok(())
     }
@@ -148,26 +144,49 @@ impl Memory {
     }
 
     /// Copies raw bytes into memory without alignment checks (used by the
-    /// program loader and cache line fills, whose addresses are aligned by
-    /// construction).
+    /// program loader and cache write-backs), one page at a time.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside guest memory — loader addresses are
     /// trusted.
     pub fn write_bytes(&mut self, addr: u64, data: &[u8]) {
-        let base = addr as usize;
-        Arc::make_mut(&mut self.bytes)[base..base + data.len()].copy_from_slice(data);
+        let mut at = self.range_start(addr, data.len());
+        let mut rest = data;
+        while !rest.is_empty() {
+            let n = rest.len().min(PAGE_BYTES - at % PAGE_BYTES);
+            let (head, tail) = rest.split_at(n);
+            self.bytes.slice_mut(at, n).copy_from_slice(head);
+            (at, rest) = (at + n, tail);
+        }
     }
 
-    /// Reads raw bytes without alignment checks (cache line fills).
+    /// Fills `out` with the bytes at `addr..addr + out.len()` without
+    /// alignment checks (cache line fills), one page at a time.
     ///
     /// # Panics
     ///
     /// Panics if the range is outside guest memory.
-    pub fn read_bytes(&self, addr: u64, len: usize) -> &[u8] {
-        let base = addr as usize;
-        &self.bytes[base..base + len]
+    pub fn read_bytes(&self, addr: u64, out: &mut [u8]) {
+        let mut at = self.range_start(addr, out.len());
+        let mut rest = out;
+        while !rest.is_empty() {
+            let n = rest.len().min(PAGE_BYTES - at % PAGE_BYTES);
+            let (head, tail) = rest.split_at_mut(n);
+            head.copy_from_slice(self.bytes.slice(at, n));
+            (at, rest) = (at + n, tail);
+        }
+    }
+
+    /// The index of `addr`, asserting that `len` bytes from it lie inside
+    /// guest memory.
+    fn range_start(&self, addr: u64, len: usize) -> usize {
+        assert!(
+            addr.checked_add(len as u64)
+                .is_some_and(|end| end <= self.size()),
+            "byte range {addr:#x}+{len} outside guest memory"
+        );
+        addr as usize
     }
 
     /// Whether `addr..addr+len` lies entirely in mapped guest memory (above
@@ -250,6 +269,73 @@ mod tests {
         let m = Memory::new(0x3000);
         // Aligned address whose end overflows u64.
         assert_eq!(m.read(!7, 8).unwrap_err().kind, MemFaultKind::OutOfRange);
+    }
+
+    #[test]
+    fn a_loader_write_crosses_pages() {
+        let mut m = Memory::new(0x4000);
+        let data: Vec<u8> = (0..=255).cycle().take(0x1800).collect();
+        m.write_bytes(0x1c00, &data);
+        let mut back = vec![0; data.len()];
+        m.read_bytes(0x1c00, &mut back);
+        assert_eq!(back, data);
+        assert_eq!(m.read(0x1ff8, 8).unwrap(), 0xFFFE_FDFC_FBFA_F9F8);
+        assert_eq!(m.read(0x2000, 1).unwrap(), 0x00);
+        assert_eq!(m.read(0x1bf8, 8).unwrap(), 0, "bytes before the range");
+        assert_eq!(m.read(0x3400, 8).unwrap(), 0, "bytes after the range");
+    }
+
+    #[test]
+    fn a_write_through_one_clone_copies_one_page() {
+        let mut a = Memory::new(0x8000);
+        a.write_bytes(0x1000, &[1; 0x3000]);
+        let mut b = a.clone();
+        let pages = a.bytes.chunk_count();
+        assert_eq!(a.bytes.shared_chunk_count(&b.bytes), pages);
+        b.write(0x2ff8, 8, 0x0102_0304_0506_0708).unwrap();
+        assert_eq!(a.bytes.shared_chunk_count(&b.bytes), pages - 1);
+        assert_eq!(a.read(0x2ff8, 8).unwrap(), 0x0101_0101_0101_0101);
+        assert_eq!(b.read(0x2ff8, 8).unwrap(), 0x0102_0304_0506_0708);
+        assert_ne!(a, b);
+    }
+
+    #[test]
+    fn equality_is_by_content_across_shared_and_rewritten_pages() {
+        let mut a = Memory::new(0x8000);
+        a.write_bytes(0x2000, &[7; 16]);
+        assert_eq!(a, a.clone(), "every page shared");
+        let mut b = a.clone();
+        b.write(0x2000, 1, 9).unwrap();
+        b.write(0x5000, 4, 3).unwrap();
+        assert_ne!(a, b);
+        b.write(0x2000, 1, 7).unwrap();
+        b.write(0x5000, 4, 0).unwrap();
+        assert_eq!(
+            a.bytes.shared_chunk_count(&b.bytes),
+            a.bytes.chunk_count() - 2
+        );
+        assert_eq!(a, b, "pages rewritten to equal content");
+        let mut fresh = Memory::new(0x8000);
+        fresh.write_bytes(0x2000, &[7; 16]);
+        assert_eq!(a, fresh, "separately built, equal content");
+    }
+
+    #[test]
+    fn a_line_reads_at_the_end_of_a_page() {
+        let mut m = Memory::new(0x3000);
+        let line: Vec<u8> = (1..=64).collect();
+        m.write_bytes(0x1fc0, &line);
+        let mut out = [0u8; 64];
+        m.read_bytes(0x1fc0, &mut out);
+        assert_eq!(out.as_slice(), line.as_slice());
+        m.read_bytes(0x2fc0, &mut out);
+        assert_eq!(out, [0; 64], "the last line of memory");
+    }
+
+    #[test]
+    #[should_panic(expected = "outside guest memory")]
+    fn a_byte_range_past_the_end_panics() {
+        Memory::new(0x3000).write_bytes(0x2fc0, &[0; 0x41]);
     }
 
     #[test]

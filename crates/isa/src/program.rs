@@ -91,7 +91,8 @@ impl Program {
         }
     }
 
-    /// Allocates guest memory and loads the image into it.
+    /// Builds guest memory with the image loaded: only the pages the code
+    /// and data occupy are allocated, and the rest share one zero page.
     pub fn build_memory(&self) -> Memory {
         let mut mem = Memory::new(self.mem_size);
         self.load_into(&mut mem);

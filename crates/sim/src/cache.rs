@@ -10,8 +10,8 @@
 //! out-of-system-map condition the paper's simulator reports as an Assert.
 
 use crate::config::CacheGeometry;
-use crate::cow::CowVec;
 use crate::delta::{BitSet, Watch};
+use softerr_isa::CowVec;
 
 /// Modeled physical address width (bits) used for tag sizing.
 pub const PHYS_ADDR_BITS: u32 = 32;
@@ -33,6 +33,12 @@ const DATA_CHUNK: usize = 4096;
 pub struct Cache {
     geom: CacheGeometry,
     tag_width: u32,
+    /// `addr >> offset_bits & set_mask` is an address's set.
+    offset_bits: u32,
+    set_mask: u64,
+    /// `addr >> tag_shift & tag_mask` is its tag.
+    tag_shift: u32,
+    tag_mask: u64,
     tags: CowVec<u64>,
     valid: CowVec<bool>,
     dirty: CowVec<bool>,
@@ -57,6 +63,10 @@ impl Cache {
         Cache {
             geom,
             tag_width,
+            offset_bits: geom.offset_bits(),
+            set_mask: geom.sets() as u64 - 1,
+            tag_shift: geom.offset_bits() + geom.set_bits(),
+            tag_mask: (1u64 << tag_width) - 1,
             tags: CowVec::new(lines, META_CHUNK, 0),
             valid: CowVec::new(lines, META_CHUNK, false),
             dirty: CowVec::new(lines, META_CHUNK, false),
@@ -226,11 +236,11 @@ impl Cache {
     }
 
     fn set_of(&self, addr: u64) -> usize {
-        ((addr >> self.geom.offset_bits()) & ((self.geom.sets() as u64) - 1)) as usize
+        ((addr >> self.offset_bits) & self.set_mask) as usize
     }
 
     fn tag_of(&self, addr: u64) -> u64 {
-        (addr >> (self.geom.offset_bits() + self.geom.set_bits())) & ((1u64 << self.tag_width) - 1)
+        (addr >> self.tag_shift) & self.tag_mask
     }
 
     /// Watches exactly the sets in `sets` (none when it is empty), dropping
@@ -318,12 +328,19 @@ impl Cache {
 
     /// Installs a line for `addr` at `line` with the given contents.
     pub fn fill(&mut self, line: usize, addr: u64, contents: &[u8]) {
+        self.install(line, addr).copy_from_slice(contents);
+    }
+
+    /// Installs a line for `addr` at `line` (tag, valid, clean, most
+    /// recently used) and returns its data bytes, which the caller fills
+    /// straight from the level below.
+    pub(crate) fn install(&mut self, line: usize, addr: u64) -> &mut [u8] {
         self.tags.set(line, self.tag_of(addr));
         self.valid.set(line, true);
         self.dirty.set(line, false);
         self.use_counter += 1;
         self.lru.set(line, self.use_counter);
-        self.line_data_mut(line).copy_from_slice(contents);
+        self.line_data_mut(line)
     }
 
     /// Invalidates a line.
@@ -336,8 +353,7 @@ impl Cache {
     /// corrupted) stored tag. The result may lie outside guest memory.
     pub fn reconstruct_addr(&self, line: usize) -> u64 {
         let set = (line / self.geom.ways) as u64;
-        (self.tags[line] << (self.geom.offset_bits() + self.geom.set_bits()))
-            | (set << self.geom.offset_bits())
+        (self.tags[line] << self.tag_shift) | (set << self.offset_bits)
     }
 
     /// Total injectable bits in the data array.

@@ -38,7 +38,6 @@ mod bpred;
 mod cache;
 mod config;
 mod counters;
-mod cow;
 mod delta;
 mod inject;
 mod iq;
@@ -53,7 +52,6 @@ mod uop;
 pub use cache::{Cache, PHYS_ADDR_BITS};
 pub use config::{CacheGeometry, MachineConfig};
 pub use counters::{OccupancyHistogram, SimCounters};
-pub use cow::CowVec;
 pub use delta::{BitSet, StateDelta};
 pub use inject::Structure;
 pub use memsys::{MemErr, MemorySystem};
@@ -61,3 +59,4 @@ pub use pipeline::{Sim, SimOutcome, SimStats};
 pub use residency::{
     LiveWindow, LivenessMap, ResidencyReport, StructureLiveness, StructureResidency,
 };
+pub use softerr_isa::CowVec;

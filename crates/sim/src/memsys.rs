@@ -135,11 +135,10 @@ impl MemorySystem {
 
     /// Whether two hierarchies hold identical execution-relevant state
     /// (cache arrays and guest memory; hit/miss statistics excluded).
-    /// Guest memory compares by pointer first, and the cache arrays are
-    /// chunked copy-on-write storage compared the same way: chunks a fork
-    /// never unshared are equal by construction and are not walked, so for
-    /// a recently forked child this is a near-free pointer sweep rather
-    /// than a megabyte-scale comparison.
+    /// Guest memory pages and the cache arrays are chunked copy-on-write
+    /// storage: chunks a fork never unshared are equal by construction and
+    /// are not walked, so for a recently forked child this is a near-free
+    /// pointer sweep rather than a megabyte-scale comparison.
     pub fn state_eq(&self, other: &MemorySystem) -> bool {
         self.divergence(other).is_none()
     }
@@ -257,8 +256,7 @@ impl MemorySystem {
             if !self.mem.contains_range(addr, lb) {
                 return Err(MemErr::Assert("L2 writeback outside system map"));
             }
-            let data = self.l2.line_data(line).to_vec();
-            self.mem.write_bytes(addr, &data);
+            self.mem.write_bytes(addr, self.l2.line_data(line));
         }
         self.l2.invalidate(line);
         Ok(())
@@ -280,13 +278,21 @@ impl MemorySystem {
         }
         let victim = self.l2.victim(addr);
         self.evict_l2(victim)?;
-        let contents = self.mem.read_bytes(base, lb as usize).to_vec();
-        self.l2.fill(victim, base, &contents);
+        self.mem.read_bytes(base, self.l2.install(victim, base));
         let clock = self.clock;
         if let Some(r) = self.residency.as_deref_mut() {
             r[2].on_fill(victim, clock);
         }
         Ok((victim, self.l2_lat + self.mem_lat))
+    }
+
+    /// The chosen L1 together with the L2 and memory below it.
+    fn l1_and_below(&mut self, side: Side) -> (&mut Cache, &mut Cache, &mut Memory) {
+        let l1 = match side {
+            Side::Instr => &mut self.l1i,
+            Side::Data => &mut self.l1d,
+        };
+        (l1, &mut self.l2, &mut self.mem)
     }
 
     /// Evicts an L1 line: dirty data goes to L2 if present there, else
@@ -303,28 +309,22 @@ impl MemorySystem {
                 r.on_evict(line, clock, dirty);
             }
         }
-        let l1 = match side {
-            Side::Instr => &mut self.l1i,
-            Side::Data => &mut self.l1d,
-        };
+        let (l1, l2, mem) = self.l1_and_below(side);
         if l1.is_valid(line) && l1.is_dirty(line) {
             let addr = l1.reconstruct_addr(line);
-            let data = l1.line_data(line).to_vec();
             let lb = l1.geometry().line_bytes;
-            if let Some(l2_line) = self.l2.lookup(addr) {
-                self.l2.line_data_mut(l2_line).copy_from_slice(&data);
-                self.l2.set_dirty(l2_line, true);
+            if let Some(l2_line) = l2.lookup(addr) {
+                l2.line_data_mut(l2_line)
+                    .copy_from_slice(l1.line_data(line));
+                l2.set_dirty(l2_line, true);
             } else {
-                if !self.mem.contains_range(addr, lb) {
+                if !mem.contains_range(addr, lb) {
                     return Err(MemErr::Assert("L1 writeback outside system map"));
                 }
-                self.mem.write_bytes(addr, &data);
+                mem.write_bytes(addr, l1.line_data(line));
             }
         }
-        match side {
-            Side::Instr => self.l1i.invalidate(line),
-            Side::Data => self.l1d.invalidate(line),
-        }
+        l1.invalidate(line);
         Ok(())
     }
 
@@ -342,7 +342,6 @@ impl MemorySystem {
             return Ok((line, self.l1_lat));
         }
         let (l2_line, fill_lat) = self.l2_line(addr)?;
-        let contents = self.l2.line_data(l2_line).to_vec();
         let l1 = match side {
             Side::Instr => &self.l1i,
             Side::Data => &self.l1d,
@@ -350,11 +349,14 @@ impl MemorySystem {
         let victim = l1.victim(addr);
         let lb = l1.geometry().line_bytes;
         self.evict_l1(side, victim)?;
+        // The eviction cannot have written `l2_line`: the lookup above
+        // missed, so a dirty victim holds a different line address, and L2
+        // (same line size) files different line addresses under different
+        // set and tag pairs.
         let base = addr & !(lb - 1);
-        match side {
-            Side::Instr => self.l1i.fill(victim, base, &contents),
-            Side::Data => self.l1d.fill(victim, base, &contents),
-        }
+        let (l1, l2, _) = self.l1_and_below(side);
+        l1.install(victim, base)
+            .copy_from_slice(l2.line_data(l2_line));
         let clock = self.clock;
         if let Some(r) = self.l1_residency(side) {
             r.on_fill(victim, clock);

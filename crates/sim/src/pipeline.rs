@@ -125,6 +125,9 @@ pub struct Sim {
     /// The issue stage's ready list, one allocation reused every cycle.
     /// Empty between cycles; not machine state.
     issue_buf: Vec<usize>,
+    /// The execute stage's next in-flight list, swapped with `in_flight`
+    /// every cycle. Empty between cycles; not machine state.
+    exec_buf: Vec<usize>,
     // Architectural results.
     output: Vec<u64>,
     cycle: u64,
@@ -213,6 +216,7 @@ impl Sim {
             wb_ready: VecDeque::new(),
             divider_busy: 0,
             issue_buf: Vec::with_capacity(cfg.iq_entries),
+            exec_buf: Vec::new(),
             output: Vec::new(),
             cycle: 0,
             retired: 0,
@@ -529,11 +533,11 @@ impl Sim {
     /// Forks a child simulator for fault injection.
     ///
     /// Semantically identical to `clone()` for execution purposes, but
-    /// cheap: the cache arrays and the register-file value bank live in
-    /// copy-on-write chunked storage, so the fork shares every chunk with
-    /// the parent and only writes made *after* the fork materialize private
-    /// copies. A fork immediately dropped allocates O(1) chunk copies, not
-    /// O(machine).
+    /// cheap: guest memory, the cache arrays and the register-file value
+    /// bank live in copy-on-write chunked storage, so the fork shares every
+    /// chunk with the parent and only writes made *after* the fork
+    /// materialize private copies. A fork immediately dropped allocates
+    /// O(1) chunk copies, not O(machine).
     ///
     /// Observational state that never feeds back into execution — the
     /// residency tracker and the event counters — is not inherited: a child
@@ -946,9 +950,9 @@ impl Sim {
             self.divider_busy -= 1;
         }
         let mut mispredict: Option<(u64, usize, u64)> = None; // (seq, rob, target)
-        let in_flight = std::mem::take(&mut self.in_flight);
-        let mut still = Vec::with_capacity(in_flight.len());
-        for idx in in_flight {
+        let mut in_flight = std::mem::take(&mut self.in_flight);
+        let mut still = std::mem::take(&mut self.exec_buf);
+        for &idx in &in_flight {
             let Some(state) = self.uops[idx].as_ref().map(|u| u.state) else {
                 continue; // squashed
             };
@@ -989,7 +993,9 @@ impl Sim {
                 other => unreachable!("in-flight uop in state {other:?}"),
             }
         }
+        in_flight.clear();
         self.in_flight = still;
+        self.exec_buf = in_flight;
         if let Some((seq, rob_idx, target)) = mispredict {
             self.squash(seq, rob_idx, target)?;
         }
@@ -1566,15 +1572,15 @@ impl Sim {
         // Rename recovery from the branch's checkpoint.
         let checkpoint = self.uops[branch_rob_idx]
             .as_ref()
-            .and_then(|u| u.checkpoint.clone())
+            .and_then(|u| u.checkpoint)
             .expect("branches carry a rename checkpoint");
-        let dests: Vec<PhysReg> = self
+        let uops = &self.uops;
+        let dests = self
             .rob
             .occupied()
-            .filter_map(|i| self.uops[i].as_ref())
-            .filter_map(|u| u.dest.map(|d| d.phys))
-            .collect();
-        self.rf.recover(&checkpoint, &dests);
+            .filter_map(|i| uops[i].as_ref())
+            .filter_map(|u| u.dest.map(|d| d.phys));
+        self.rf.recover(&checkpoint, dests);
         let cycle = self.cycle;
         if let Some(t) = self.residency.as_deref_mut() {
             t.squash_queues(boundary_seq, cycle);

@@ -6,8 +6,8 @@
 //! the paper does not inject, but it *checks* consistency and raises
 //! Assert-class failures when corrupted ROB fields feed it garbage.
 
-use crate::cow::CowVec;
 use crate::delta::{BitSet, Watch};
+use softerr_isa::CowVec;
 use softerr_isa::Profile;
 
 /// Physical register index.
@@ -15,6 +15,14 @@ pub type PhysReg = u8;
 
 /// Chunk size (registers) for the copy-on-write value bank.
 const VALUE_CHUNK: usize = 32;
+
+/// Most architectural registers a profile has: the length of a
+/// [`RenameCheckpoint`].
+pub const MAX_ARCH_REGS: usize = 32;
+
+/// A branch's copy of the speculative map, stored inline: entries past the
+/// profile's register count stay zero.
+pub type RenameCheckpoint = [PhysReg; MAX_ARCH_REGS];
 
 /// Physical register file plus rename state.
 ///
@@ -48,6 +56,10 @@ impl RegisterFile {
     pub fn new(profile: Profile, nphys: usize) -> RegisterFile {
         assert!(nphys <= 256, "phys tags are stored in 8 bits");
         assert!(nphys > profile.nregs(), "need more phys than arch regs");
+        assert!(
+            profile.nregs() <= MAX_ARCH_REGS,
+            "checkpoints hold 32 entries"
+        );
         let nregs = profile.nregs();
         // arch reg i initially maps to phys i (phys 0 = zero).
         let spec_map: Vec<PhysReg> = (0..nregs as u8).collect();
@@ -157,22 +169,30 @@ impl RegisterFile {
     }
 
     /// Snapshot of the speculative map (branch checkpoint).
-    pub fn checkpoint(&self) -> Box<[PhysReg]> {
-        self.spec_map.clone().into_boxed_slice()
+    pub fn checkpoint(&self) -> RenameCheckpoint {
+        let mut checkpoint = [0; MAX_ARCH_REGS];
+        checkpoint[..self.spec_map.len()].copy_from_slice(&self.spec_map);
+        checkpoint
     }
 
     /// Restores the speculative map from a checkpoint and rebuilds the free
     /// list from first principles: a register is allocated iff it is the
     /// architectural home of some register or the destination of a
     /// surviving in-flight instruction.
-    pub fn recover(&mut self, checkpoint: &[PhysReg], in_flight_dests: &[PhysReg]) {
-        self.spec_map.copy_from_slice(checkpoint);
-        let mut allocated = vec![false; self.nphys];
+    pub fn recover(
+        &mut self,
+        checkpoint: &RenameCheckpoint,
+        in_flight_dests: impl IntoIterator<Item = PhysReg>,
+    ) {
+        let nregs = self.spec_map.len();
+        self.spec_map.copy_from_slice(&checkpoint[..nregs]);
+        let mut allocated = [false; 256];
+        let allocated = &mut allocated[..self.nphys];
         allocated[0] = true;
         for &r in &self.arch_map {
             allocated[r as usize] = true;
         }
-        for &r in in_flight_dests {
+        for r in in_flight_dests {
             if (r as usize) < self.nphys {
                 allocated[r as usize] = true;
             }
@@ -333,7 +353,7 @@ mod tests {
         let b = rf.alloc().unwrap();
         let _c = rf.alloc().unwrap();
         // Squash everything after the checkpoint except `a` and `b`.
-        rf.recover(&cp, &[a, b]);
+        rf.recover(&cp, [a, b]);
         assert_eq!(rf.free_count(), 128 - 16 - 2);
         // c is free again; allocating returns some register that is not a/b.
         let d = rf.alloc().unwrap();

@@ -7,7 +7,7 @@
 //! mismatch — the same methodology GeFIN applies (a corrupted operand or
 //! linkage field is an "unexpected microprocessor operation").
 
-use crate::regs::PhysReg;
+use crate::regs::{PhysReg, RenameCheckpoint};
 use softerr_isa::{Instr, Trap};
 
 /// Destination-register rename triple.
@@ -88,7 +88,7 @@ pub struct Uop {
     /// Destination rename triple.
     pub dest: Option<DestInfo>,
     /// Speculative-map checkpoint (branches only).
-    pub checkpoint: Option<Box<[PhysReg]>>,
+    pub checkpoint: Option<RenameCheckpoint>,
     /// Execution state.
     pub state: UopState,
     /// First operand value (captured at issue).

@@ -5,7 +5,7 @@
 
 use softerr_cc::{Compiler, OptLevel};
 use softerr_isa::Emulator;
-use softerr_sim::{MachineConfig, Sim, SimOutcome};
+use softerr_sim::{MachineConfig, Sim, SimOutcome, SimStats};
 use softerr_workloads::{Scale, Workload};
 
 /// The paper machines, plus an A72 whose 100-entry issue queue spans two
@@ -168,5 +168,93 @@ fn optimized_code_is_faster_in_cycles() {
                 cfg.name
             );
         }
+    }
+}
+
+/// FNV-1a over the little-endian bytes of `words`.
+fn fnv(words: impl IntoIterator<Item = u64>) -> u64 {
+    let mut h = 0xcbf2_9ce4_8422_2325u64;
+    for w in words {
+        for b in w.to_le_bytes() {
+            h ^= u64::from(b);
+            h = h.wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+    h
+}
+
+/// `counters()` of a pinned run: stall cycles, squash and branch counts,
+/// and an FNV hash of every occupancy histogram's buckets.
+#[derive(Debug, PartialEq)]
+struct PinnedCounters {
+    fetch_stall_cycles: u64,
+    issue_stall_cycles: u64,
+    commit_stall_cycles: u64,
+    squashes: u64,
+    squashed_uops: u64,
+    branches: u64,
+    mispredicts: u64,
+    occupancy_fnv: u64,
+}
+
+/// Fault-free runs of the `grid-uniform` benchmark cells (qsort at O0 and
+/// O2) and of the `sim_throughput` program (fft at O1) on both paper
+/// machines, pinned field for field: the simulated statistics must not
+/// move when the simulator's storage or speed changes.
+#[test]
+fn pinned_statistics_do_not_move() {
+    #[rustfmt::skip]
+    let pinned: [(Workload, OptLevel, &str, u64, SimStats, PinnedCounters); 6] = [
+        (Workload::Qsort, OptLevel::O0, "Cortex-A15-like", 0xa61b_153b_940b_a0c4,
+         SimStats { cycles: 11280, retired: 14635, mispredicts: 236, l1i: (19996, 15), l1d: (5480, 17), l2: (0, 32), rf_occupancy_sum: 382246, rf_reads: 20992, rf_writes: 13168, rob_occupancy_sum: 262147, iq_occupancy_sum: 99230, lq_occupancy_sum: 72408, sq_occupancy_sum: 19706 },
+         PinnedCounters { fetch_stall_cycles: 2581, issue_stall_cycles: 813, commit_stall_cycles: 3722, squashes: 236, squashed_uops: 4564, branches: 2212, mispredicts: 236, occupancy_fnv: 0x9ed8_99c4_ecc9_6dd7 }),
+        (Workload::Qsort, OptLevel::O0, "Cortex-A72-like", 0xa61b_153b_940b_a0c4,
+         SimStats { cycles: 11504, retired: 14827, mispredicts: 236, l1i: (21389, 16), l1d: (5538, 20), l2: (0, 36), rf_occupancy_sum: 696482, rf_reads: 21857, rf_writes: 13805, rob_occupancy_sum: 410615, iq_occupancy_sum: 156583, lq_occupancy_sum: 94969, sq_occupancy_sum: 28856 },
+         PinnedCounters { fetch_stall_cycles: 2967, issue_stall_cycles: 670, commit_stall_cycles: 3699, squashes: 236, squashed_uops: 5756, branches: 2212, mispredicts: 236, occupancy_fnv: 0x3e7b_3b08_79e6_b88b }),
+        (Workload::Qsort, OptLevel::O2, "Cortex-A15-like", 0xa61b_153b_940b_a0c4,
+         SimStats { cycles: 7908, retired: 12037, mispredicts: 218, l1i: (15574, 14), l1d: (4713, 17), l2: (0, 31), rf_occupancy_sum: 210077, rf_reads: 15394, rf_writes: 9248, rob_occupancy_sum: 116406, iq_occupancy_sum: 42821, lq_occupancy_sum: 30751, sq_occupancy_sum: 11541 },
+         PinnedCounters { fetch_stall_cycles: 1690, issue_stall_cycles: 48, commit_stall_cycles: 1983, squashes: 218, squashed_uops: 2972, branches: 2282, mispredicts: 218, occupancy_fnv: 0x8930_9c6b_9282_2b6f }),
+        (Workload::Qsort, OptLevel::O2, "Cortex-A72-like", 0xa61b_153b_940b_a0c4,
+         SimStats { cycles: 7001, retired: 10158, mispredicts: 215, l1i: (12243, 12), l1d: (2714, 23), l2: (0, 35), rf_occupancy_sum: 346845, rf_reads: 12727, rf_writes: 7281, rob_occupancy_sum: 156978, iq_occupancy_sum: 51975, lq_occupancy_sum: 14670, sq_occupancy_sum: 9973 },
+         PinnedCounters { fetch_stall_cycles: 1705, issue_stall_cycles: 77, commit_stall_cycles: 1659, squashes: 215, squashed_uops: 1608, branches: 2282, mispredicts: 215, occupancy_fnv: 0x696e_261d_84e0_87e3 }),
+        (Workload::Fft, OptLevel::O1, "Cortex-A15-like", 0x956b_0eb5_af66_e9ad,
+         SimStats { cycles: 10745, retired: 15438, mispredicts: 87, l1i: (17271, 25), l1d: (3444, 10), l2: (0, 35), rf_occupancy_sum: 417388, rf_reads: 21337, rf_writes: 14462, rob_occupancy_sum: 268806, iq_occupancy_sum: 99428, lq_occupancy_sum: 52779, sq_occupancy_sum: 13100 },
+         PinnedCounters { fetch_stall_cycles: 3676, issue_stall_cycles: 1112, commit_stall_cycles: 3530, squashes: 87, squashed_uops: 1527, branches: 846, mispredicts: 87, occupancy_fnv: 0x5dea_5f26_0dae_0e9e }),
+        (Workload::Fft, OptLevel::O1, "Cortex-A72-like", 0x956b_0eb5_af66_e9ad,
+         SimStats { cycles: 7850, retired: 13714, mispredicts: 87, l1i: (14323, 23), l1d: (1460, 16), l2: (0, 39), rf_occupancy_sum: 475394, rf_reads: 18470, rf_writes: 12416, rob_occupancy_sum: 246776, iq_occupancy_sum: 72738, lq_occupancy_sum: 14806, sq_occupancy_sum: 9943 },
+         PinnedCounters { fetch_stall_cycles: 2717, issue_stall_cycles: 359, commit_stall_cycles: 2129, squashes: 87, squashed_uops: 390, branches: 846, mispredicts: 87, occupancy_fnv: 0x33f5_073a_e65a_021f }),
+    ];
+    for (workload, level, machine, output_fnv, stats, counters) in pinned {
+        let cfg = MachineConfig::paper_machines()
+            .into_iter()
+            .find(|m| m.name == machine)
+            .expect("a paper machine");
+        let what = format!("{workload} at {level} on {machine}");
+        let compiled = Compiler::new(cfg.profile, level)
+            .compile(&workload.source(Scale::Tiny))
+            .unwrap();
+        // Once on the plain stepping path, once with counters on.
+        let mut plain = Sim::new(&cfg, &compiled.program);
+        let mut counted = Sim::new(&cfg, &compiled.program);
+        counted.enable_counters();
+        for sim in [&mut plain, &mut counted] {
+            let SimOutcome::Halted { output, .. } = sim.run(1_000_000_000) else {
+                panic!("{what}: did not halt");
+            };
+            assert_eq!(fnv(output), output_fnv, "{what}: output");
+            assert_eq!(sim.stats(), stats, "{what}: statistics");
+        }
+        let c = counted.counters().expect("counters enabled");
+        let got = PinnedCounters {
+            fetch_stall_cycles: c.fetch_stall_cycles,
+            issue_stall_cycles: c.issue_stall_cycles,
+            commit_stall_cycles: c.commit_stall_cycles,
+            squashes: c.squashes,
+            squashed_uops: c.squashed_uops,
+            branches: c.branches,
+            mispredicts: c.mispredicts,
+            occupancy_fnv: fnv(c.occupancy.iter().flat_map(|h| h.counts.iter().copied())),
+        };
+        assert_eq!(got, counters, "{what}: counters");
     }
 }
