@@ -208,7 +208,9 @@ pub fn worker_table(trace: &Trace) -> Table {
 /// machine/workload/level fields, with the store-lookup, compile,
 /// execute, and store-write child stages broken out and hit-vs-miss
 /// provenance. Cells served from the result store show `hit` with only
-/// lookup time; executed cells show the full pipeline.
+/// lookup time; executed cells show compile, execute and store write
+/// (their missed lookup ran in the sweep's store pass, before the cell's
+/// span opened).
 pub fn cell_table(trace: &Trace) -> Table {
     const STAGES: [&str; 4] = ["cell.lookup", "cell.compile", "cell.execute", "cell.store"];
     let mut table = Table::new(

@@ -521,22 +521,19 @@ fn serve_cmd(args: &[String]) {
         // Compare the raw store bytes cell by cell: the distributed store
         // must be indistinguishable from one a serial run wrote.
         let mut compared = 0;
-        for machine in &config.machines {
-            for &workload in &config.workloads {
-                for &level in &config.levels {
-                    let hash = softerr::cell_config_hash(&config, machine, workload, level);
-                    let name = format!("cells/{hash}.json");
-                    let dist = std::fs::read(opts.results_dir.join(&name))
-                        .unwrap_or_else(|e| panic!("distributed cell {name} unreadable: {e}"));
-                    let ser = std::fs::read(serial_dir.join(&name))
-                        .unwrap_or_else(|e| panic!("serial cell {name} unreadable: {e}"));
-                    assert_eq!(
-                        dist, ser,
-                        "store cell {name} differs between distributed and serial runs"
-                    );
-                    compared += 1;
-                }
-            }
+        for (key, _) in &serial.cells {
+            let machine = serial.machine(&key.machine).expect("planned machine");
+            let hash = softerr::cell_config_hash(&config, machine, key.workload, key.level);
+            let name = format!("cells/{hash}.json");
+            let dist = std::fs::read(opts.results_dir.join(&name))
+                .unwrap_or_else(|e| panic!("distributed cell {name} unreadable: {e}"));
+            let ser = std::fs::read(serial_dir.join(&name))
+                .unwrap_or_else(|e| panic!("serial cell {name} unreadable: {e}"));
+            assert_eq!(
+                dist, ser,
+                "store cell {name} differs between distributed and serial runs"
+            );
+            compared += 1;
         }
         let _ = std::fs::remove_dir_all(&serial_dir);
         println!("serve-check passed: {compared} store cell(s) bit-identical to a serial run");

@@ -1,44 +1,54 @@
-//! Cell-parallel study orchestration.
+//! The cell scheduler.
 //!
 //! A study is a grid of independent **cells** — one (machine, workload,
 //! level) coordinate, each owning a compile, a fault-free golden run, and
-//! one campaign per structure. [`Orchestrator`] plans that grid as a small
-//! DAG: compile units (deduplicated per ISA profile × workload × level, so
-//! machines sharing a profile never recompile the same program) feed the
-//! cells, and a work-stealing pool of cell workers claims cells from a
-//! shared index — cell-level parallelism layered *on top of* the
-//! intra-campaign `threads` of [`CampaignConfig`](softerr_inject::CampaignConfig).
+//! one campaign per structure. A `Sweep` plans that grid once (`Plan`:
+//! keys, content hashes and deduplicated compile units, in `machines ×
+//! workloads × levels` order), serves every cell the optional
+//! content-addressed [`ResultStore`] already holds, and leases the rest to
+//! cell workers through one `LeaseBoard`. Every worker runs the same loop
+//! (lease → compile → [`run_cell`] → submit); only the link to the board
+//! differs:
 //!
-//! Completed cells are persisted to an optional content-addressed
-//! [`ResultStore`], making re-runs incremental (only missing or
-//! invalidated cells execute) and killed studies resumable: on the next
-//! invocation every already-stored cell is served from disk.
+//! * [`Orchestrator::execute`] runs in-process workers that call the board
+//!   directly — cell-level parallelism layered *on top of* the
+//!   intra-campaign `threads` of [`CampaignConfig`];
+//! * [`crate::Coordinator::serve`] answers remote workers' TCP frames with
+//!   the same calls (see [`crate::serve`]).
 //!
-//! **Determinism:** the parallel path is bit-identical to the serial one.
-//! Each cell's campaigns derive their RNG streams from `(seed, structure)`
-//! alone and share nothing with other cells, cells are written into
-//! plan-order slots regardless of completion order, and compile sharing
-//! only deduplicates byte-identical work. `tests/sched_equivalence.rs`
-//! asserts this rather than assuming it.
+//! Completed cells are persisted to the store before they are reported,
+//! making re-runs incremental (only missing or invalidated cells execute)
+//! and killed studies resumable.
+//!
+//! **Determinism:** every driver is bit-identical to a serial run. Each
+//! cell's campaigns derive their RNG streams from `(seed, structure)`
+//! alone and share nothing with other cells, results land in plan-order
+//! slots regardless of completion order, and compile sharing only
+//! deduplicates byte-identical work. `tests/sched_equivalence.rs` and
+//! `tests/serve_equivalence.rs` assert this rather than assuming it.
 
+use crate::serve::{work, LeaseGrant, Link, Request, Response, WorkerOptions};
 use crate::store::{cell_config_hash, ResultStore};
 use crate::study::{CellKey, CellResult, StudyConfig, StudyError, StudyResults};
-use softerr_cc::{Compiled, Compiler, OptLevel};
+use softerr_cc::{Compiled, OptLevel};
 use softerr_inject::{CampaignConfig, CampaignResult, Injector};
 use softerr_isa::Profile;
 use softerr_sim::MachineConfig;
 use softerr_telemetry::{event, span, Level};
 use softerr_workloads::Workload;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::io::Write;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
+/// Suggested retry delay for a remote worker when every remaining cell is
+/// leased out.
+const WAIT_MS: u64 = 100;
+
 /// Runs one cell of `cfg` — golden run plus one campaign per structure —
 /// on an already-compiled program. This is the single execution path every
-/// driver shares: the in-process [`Orchestrator`] workers, and the remote
-/// [`crate::serve::run_worker`] processes of the distributed campaign
-/// service, so the distributed study is bit-identical to a serial one by
-/// construction (the equivalence tests assert it anyway).
+/// cell worker shares, in process or remote, so the distributed study is
+/// bit-identical to a serial one by construction (the equivalence tests
+/// assert it anyway).
 ///
 /// # Errors
 ///
@@ -72,29 +82,637 @@ pub(crate) fn run_cell(
     })
 }
 
-/// One planned cell: a grid coordinate plus the compile unit it consumes
-/// and the content hash it is stored under.
-struct CellPlan<'c> {
-    machine: &'c MachineConfig,
-    workload: Workload,
-    level: OptLevel,
-    /// Index into the deduplicated compile-unit table.
-    unit: usize,
-    /// Content hash for [`ResultStore`] lookups.
-    hash: String,
+/// One planned cell: its grid coordinate, the content hash it is stored
+/// under, and the compile unit it consumes.
+pub(crate) struct PlannedCell {
+    pub(crate) key: CellKey,
+    pub(crate) hash: String,
+    /// Index into the study's machines.
+    pub(crate) machine: usize,
+    /// Index into the plan's compile units.
+    pub(crate) unit: usize,
 }
 
-impl CellPlan<'_> {
-    fn key(&self) -> CellKey {
-        CellKey {
-            machine: self.machine.name.clone(),
-            workload: self.workload,
-            level: self.level,
+/// One compile slot per compile unit, filled by the first worker that
+/// needs the program.
+pub(crate) type CompileTable = [OnceLock<Result<Compiled, String>>];
+
+/// The study grid in plan (= result) order, `machines × workloads ×
+/// levels`: the one place that order is written down.
+pub(crate) struct Plan {
+    pub(crate) cells: Vec<PlannedCell>,
+    /// Distinct (ISA profile, workload, level) compile units: machines
+    /// sharing a profile never recompile the same program.
+    units: usize,
+}
+
+impl Plan {
+    pub(crate) fn new(cfg: &StudyConfig) -> Plan {
+        let mut units: Vec<(Profile, Workload, OptLevel)> = Vec::new();
+        let mut cells = Vec::new();
+        for (m, machine) in cfg.machines.iter().enumerate() {
+            for &workload in &cfg.workloads {
+                for &level in &cfg.levels {
+                    let unit_key = (machine.profile, workload, level);
+                    let unit = units
+                        .iter()
+                        .position(|u| *u == unit_key)
+                        .unwrap_or_else(|| {
+                            units.push(unit_key);
+                            units.len() - 1
+                        });
+                    cells.push(PlannedCell {
+                        key: CellKey {
+                            machine: machine.name.clone(),
+                            workload,
+                            level,
+                        },
+                        hash: cell_config_hash(cfg, machine, workload, level),
+                        machine: m,
+                        unit,
+                    });
+                }
+            }
         }
+        Plan {
+            cells,
+            units: units.len(),
+        }
+    }
+
+    /// An empty compile table for this plan's units.
+    pub(crate) fn compile_table(&self) -> Vec<OnceLock<Result<Compiled, String>>> {
+        (0..self.units).map(|_| OnceLock::new()).collect()
     }
 }
 
-/// What one [`Orchestrator::execute`] invocation did, beyond the results.
+/// Per-cell scheduling state. See DESIGN.md §15 for the transitions.
+#[derive(Debug, Clone, PartialEq)]
+enum CellState {
+    /// Not yet granted to anyone (or reclaimed from a lost lease).
+    Pending,
+    /// Granted; past `deadline_ms` the cell is reclaimable.
+    Leased {
+        lease: u64,
+        worker: String,
+        deadline_ms: u64,
+    },
+    /// Verified, persisted, terminal.
+    Done,
+}
+
+/// What a `Submit` did to the board.
+#[derive(Debug, PartialEq, Eq)]
+enum SubmitVerdict {
+    /// First completion of the cell: persist and report it.
+    Accept,
+    /// The cell was already completed (store hit, or another worker beat
+    /// this one after its lease expired). Acknowledge, discard payload.
+    AlreadyDone,
+}
+
+/// The scheduler's state: lease bookkeeping over the planned cells plus
+/// the plan-order results, the execution budget and the first failure.
+/// Time is a parameter (`now_ms`, milliseconds since the sweep started)
+/// rather than read from a wall clock, so expiry and re-lease logic is
+/// unit-testable without sleeping.
+#[derive(Debug)]
+struct LeaseBoard {
+    states: Vec<CellState>,
+    /// Results of the `Done` cells, in plan order.
+    slots: Vec<Option<CellResult>>,
+    /// Lease lifetime; `u64::MAX` for leases that never expire.
+    lease_ms: u64,
+    next_lease: u64,
+    done: usize,
+    /// Cells accepted from workers (store hits excluded).
+    executed: usize,
+    /// Submissions refused by verification.
+    rejected: usize,
+    /// At most this many cells are executed ([`Orchestrator::cell_budget`]).
+    budget: Option<usize>,
+    /// The sweep's first failure: once set, nothing more is granted.
+    error: Option<StudyError>,
+}
+
+impl LeaseBoard {
+    fn new(cells: usize, lease_ms: u64) -> LeaseBoard {
+        LeaseBoard {
+            states: vec![CellState::Pending; cells],
+            slots: (0..cells).map(|_| None).collect(),
+            lease_ms,
+            next_lease: 0,
+            done: 0,
+            executed: 0,
+            rejected: 0,
+            budget: None,
+            error: None,
+        }
+    }
+
+    /// Marks a cell complete outside the lease flow (store-served).
+    fn mark_done(&mut self, idx: usize) {
+        if self.states[idx] != CellState::Done {
+            self.states[idx] = CellState::Done;
+            self.done += 1;
+        }
+    }
+
+    /// Returns expired leases to `Pending`. Called before every grant, so
+    /// a dead worker's cells become grantable the next time any live
+    /// worker asks for work.
+    fn reclaim_expired(&mut self, now_ms: u64) {
+        for state in &mut self.states {
+            if let CellState::Leased { deadline_ms, .. } = state {
+                if *deadline_ms <= now_ms {
+                    *state = CellState::Pending;
+                }
+            }
+        }
+    }
+
+    /// Cells currently leased to `worker` (the backpressure measure).
+    fn inflight(&self, worker: &str) -> usize {
+        self.states
+            .iter()
+            .filter(|s| matches!(s, CellState::Leased { worker: w, .. } if w == worker))
+            .count()
+    }
+
+    /// Grants up to `want` pending cells (plan order) to `worker`,
+    /// reclaiming expired leases first and never letting executed plus
+    /// leased cells exceed the budget. Returns `(cell index, lease id,
+    /// deadline)` triples.
+    fn grant(&mut self, worker: &str, want: usize, now_ms: u64) -> Vec<(usize, u64, u64)> {
+        self.reclaim_expired(now_ms);
+        let mut want = want;
+        if let Some(budget) = self.budget {
+            let leased = self
+                .states
+                .iter()
+                .filter(|s| matches!(s, CellState::Leased { .. }))
+                .count();
+            want = want.min(budget.saturating_sub(self.executed + leased));
+        }
+        let deadline_ms = now_ms.saturating_add(self.lease_ms);
+        let mut grants = Vec::new();
+        for (idx, state) in self.states.iter_mut().enumerate() {
+            if grants.len() >= want {
+                break;
+            }
+            if *state == CellState::Pending {
+                let lease = self.next_lease;
+                self.next_lease += 1;
+                *state = CellState::Leased {
+                    lease,
+                    worker: worker.to_string(),
+                    deadline_ms,
+                };
+                grants.push((idx, lease, deadline_ms));
+            }
+        }
+        grants
+    }
+
+    /// Applies a (hash-verified) submission for cell `idx`. The lease id
+    /// is not required to still be current: the payload is addressed by a
+    /// content hash the scheduler computed itself, so a submission from
+    /// an expired-and-re-granted lease is just the same deterministic
+    /// result arriving from a different worker.
+    fn submit(&mut self, idx: usize) -> SubmitVerdict {
+        match self.states[idx] {
+            CellState::Done => SubmitVerdict::AlreadyDone,
+            CellState::Pending | CellState::Leased { .. } => {
+                self.states[idx] = CellState::Done;
+                self.done += 1;
+                self.executed += 1;
+                SubmitVerdict::Accept
+            }
+        }
+    }
+
+    /// Returns a disconnected worker's leases to `Pending` immediately,
+    /// without waiting for their deadlines.
+    fn release_worker(&mut self, worker: &str) -> usize {
+        let mut released = 0;
+        for state in &mut self.states {
+            if matches!(state, CellState::Leased { worker: w, .. } if w == worker) {
+                *state = CellState::Pending;
+                released += 1;
+            }
+        }
+        released
+    }
+
+    fn all_done(&self) -> bool {
+        self.done == self.states.len()
+    }
+}
+
+/// One run of a study through the board, with everything both drivers do
+/// around it: the store-hit pass, the answers to workers' requests (the
+/// accept path verifies, saves, fills the slot and reports progress), and
+/// the [`SweepReport`].
+pub(crate) struct Sweep<'a> {
+    config: &'a StudyConfig,
+    pub(crate) plan: Plan,
+    store: Option<&'a ResultStore>,
+    board: Mutex<LeaseBoard>,
+    /// Cells one worker may hold at once.
+    pub(crate) max_inflight: usize,
+    progress: &'a (dyn Fn(&str) + Sync),
+    /// Forensics JSONL, one object per line
+    /// ([`crate::Coordinator::progress_log`]).
+    pub(crate) log: Option<Mutex<std::fs::File>>,
+    t0: Instant,
+}
+
+impl<'a> Sweep<'a> {
+    /// Validates and plans `config`; leases last `lease_ms`.
+    pub(crate) fn new(
+        config: &'a StudyConfig,
+        store: Option<&'a ResultStore>,
+        lease_ms: u64,
+        progress: &'a (dyn Fn(&str) + Sync),
+    ) -> Result<Sweep<'a>, StudyError> {
+        config.validate().map_err(StudyError::Config)?;
+        let t0 = Instant::now();
+        let mut plan_sp = span("sched.plan");
+        let plan = Plan::new(config);
+        plan_sp.record("cells", plan.cells.len() as u64);
+        plan_sp.record("compile_units", plan.units as u64);
+        drop(plan_sp);
+        Ok(Sweep {
+            config,
+            board: Mutex::new(LeaseBoard::new(plan.cells.len(), lease_ms)),
+            plan,
+            store,
+            max_inflight: usize::MAX,
+            progress,
+            log: None,
+            t0,
+        })
+    }
+
+    /// The store-hit pass: looks every cell up once (unless `refresh`)
+    /// and completes the ones the store holds, so they never reach a
+    /// worker. Returns the number served.
+    pub(crate) fn serve_stored(&mut self, refresh: bool) -> usize {
+        let Some(store) = self.store.filter(|_| !refresh) else {
+            return 0;
+        };
+        let board = self.board.get_mut().expect("lease board");
+        let total = self.plan.cells.len();
+        for (idx, cell) in self.plan.cells.iter().enumerate() {
+            let key = &cell.key;
+            let mut cell_sp = span("cell");
+            let found = {
+                let _sp = span("cell.lookup");
+                store.load(&cell.hash, key)
+            };
+            let Some(result) = found else {
+                // A worker opens this cell's span when it executes it.
+                cell_sp.discard();
+                continue;
+            };
+            cell_sp.record("machine", key.machine.clone());
+            cell_sp.record("workload", key.workload.to_string());
+            cell_sp.record("level", key.level.to_string());
+            cell_sp.record("hit", true);
+            board.mark_done(idx);
+            board.slots[idx] = Some(result);
+            let d = board.done;
+            event!(
+                Level::Info,
+                "study.sched",
+                { cell: key.to_string(), done: d, total: total, hash: cell.hash.clone() },
+                "[{d}/{total}] {key} served from result store"
+            );
+            log_line(self.log.as_ref(), || {
+                format!(r#"{{"event":"store","cell":"{key}","done":{d},"total":{total}}}"#)
+            });
+            (self.progress)(&format!("[{d}/{total}] {key} (store)"));
+        }
+        board.done
+    }
+
+    /// Whether the sweep is over: every cell done, or a failure recorded.
+    pub(crate) fn settled(&self) -> bool {
+        let board = self.board.lock().expect("lease board");
+        board.all_done() || board.error.is_some()
+    }
+
+    /// Records a failure; the first one wins and stops all granting.
+    pub(crate) fn fail(&self, error: StudyError) {
+        let mut board = self.board.lock().expect("lease board");
+        board.error.get_or_insert(error);
+    }
+
+    /// Answers one request from `worker`, whatever link carried it.
+    pub(crate) fn answer(&self, worker: &str, request: Request) -> Response {
+        match request {
+            Request::Lease { want } => self.lease(worker, want),
+            Request::Submit {
+                lease,
+                hash,
+                key,
+                result,
+            } => self.submit(worker, lease, &hash, key, result),
+            Request::Hello { .. } => Response::Reject {
+                reason: "already greeted".to_string(),
+            },
+            Request::Bye => {
+                self.release(worker, "bye");
+                Response::Bye
+            }
+        }
+    }
+
+    fn lease(&self, worker: &str, want: usize) -> Response {
+        let granted = {
+            let mut board = self.board.lock().expect("lease board");
+            if board.all_done() || board.error.is_some() {
+                return Response::Done;
+            }
+            let headroom = self.max_inflight.saturating_sub(board.inflight(worker));
+            let now_ms = self.t0.elapsed().as_millis() as u64;
+            board.grant(worker, want.min(headroom), now_ms)
+        };
+        if granted.is_empty() {
+            return Response::Wait { ms: WAIT_MS };
+        }
+        let grants: Vec<LeaseGrant> = granted
+            .iter()
+            .map(|&(idx, lease, deadline_ms)| {
+                let cell = &self.plan.cells[idx];
+                log_line(
+                    self.log.as_ref(),
+                    || format!(
+                        r#"{{"event":"leased","cell":"{}","lease":{lease},"worker":{},"deadline_ms":{deadline_ms}}}"#,
+                        cell.key,
+                        json_str(worker)
+                    ),
+                );
+                LeaseGrant {
+                    lease,
+                    key: cell.key.clone(),
+                    hash: cell.hash.clone(),
+                    deadline_ms,
+                }
+            })
+            .collect();
+        event!(
+            Level::Debug,
+            "study.sched",
+            { worker: worker.to_string(), granted: grants.len() },
+            "leased {} cell(s) to {worker}",
+            grants.len()
+        );
+        Response::Leases { grants }
+    }
+
+    /// Checks a submission against the plan: the hash is the load-bearing
+    /// check, since it must equal a scheduler-computed cell hash, so a
+    /// worker can neither invent coordinates nor relabel one cell's result
+    /// as another's. Returns the cell index.
+    fn verify(&self, hash: &str, key: &CellKey, result: &CellResult) -> Result<usize, String> {
+        let idx = self
+            .plan
+            .cells
+            .iter()
+            .position(|c| c.hash == hash)
+            .ok_or_else(|| format!("hash {hash} is not a cell of this study"))?;
+        let planned = &self.plan.cells[idx].key;
+        if planned != key {
+            return Err(format!(
+                "key mismatch: hash {hash} plans {planned}, submission claims {key}"
+            ));
+        }
+        let structures: Vec<_> = result.campaigns.iter().map(|c| c.structure).collect();
+        if structures != self.config.structures {
+            return Err(format!(
+                "campaign structure list {structures:?} does not match the study"
+            ));
+        }
+        Ok(idx)
+    }
+
+    /// The accept path: verify, persist, fill the slot, report.
+    fn submit(
+        &self,
+        worker: &str,
+        lease: u64,
+        hash: &str,
+        key: CellKey,
+        result: CellResult,
+    ) -> Response {
+        let idx = match self.verify(hash, &key, &result) {
+            Ok(idx) => idx,
+            Err(reason) => {
+                self.board.lock().expect("lease board").rejected += 1;
+                return self.reject(worker, lease, reason);
+            }
+        };
+        let mut board = self.board.lock().expect("lease board");
+        if board.submit(idx) == SubmitVerdict::AlreadyDone {
+            // A lost lease finished late; same deterministic bytes,
+            // nothing to do.
+            return Response::Accepted { lease };
+        }
+        // Persist before acknowledging, so a kill after the ack never
+        // loses an accepted cell.
+        if let Some(store) = self.store {
+            let _sp = span("cell.store");
+            if let Err(e) = store.save(hash, &key, &result) {
+                board.states[idx] = CellState::Pending;
+                board.done -= 1;
+                board.executed -= 1;
+                board.error.get_or_insert(e);
+                drop(board);
+                return self.reject(
+                    worker,
+                    lease,
+                    "the result store failed to persist the cell".to_string(),
+                );
+            }
+        }
+        board.slots[idx] = Some(result);
+        let d = board.done;
+        drop(board);
+        let total = self.plan.cells.len();
+        let elapsed = self.t0.elapsed().as_secs_f64();
+        let eta = elapsed / d as f64 * (total - d) as f64;
+        event!(
+            Level::Info,
+            "study.sched",
+            {
+                cell: key.to_string(),
+                worker: worker.to_string(),
+                done: d,
+                total: total,
+                elapsed_s: elapsed,
+                eta_s: eta
+            },
+            "[{d}/{total}] {key} done by {worker} ({elapsed:.1}s elapsed, ETA {eta:.0}s)"
+        );
+        log_line(self.log.as_ref(), || {
+            format!(
+                r#"{{"event":"completed","cell":"{key}","lease":{lease},"worker":{},"done":{d},"total":{total},"elapsed_s":{elapsed:?},"eta_s":{eta:?}}}"#,
+                json_str(worker)
+            )
+        });
+        (self.progress)(&format!("[{d}/{total}] {key}"));
+        Response::Accepted { lease }
+    }
+
+    fn reject(&self, worker: &str, lease: u64, reason: String) -> Response {
+        log_line(self.log.as_ref(), || {
+            format!(
+                r#"{{"event":"rejected","lease":{lease},"worker":{},"reason":{}}}"#,
+                json_str(worker),
+                json_str(&reason)
+            )
+        });
+        event!(
+            Level::Warn,
+            "study.sched",
+            { worker: worker.to_string(), lease: lease, reason: reason.clone() },
+            "rejected submission from {worker}: {reason}"
+        );
+        Response::Rejected { lease, reason }
+    }
+
+    /// Returns a departed worker's leases to the pool at once.
+    pub(crate) fn release(&self, worker: &str, why: &str) {
+        let released = self
+            .board
+            .lock()
+            .expect("lease board")
+            .release_worker(worker);
+        if released > 0 {
+            event!(
+                Level::Warn,
+                "study.sched",
+                { worker: worker.to_string(), released: released, why: why.to_string() },
+                "worker {worker} disconnected ({why}); {released} leased cell(s) \
+                 returned to the pool"
+            );
+        }
+        log_line(self.log.as_ref(), || {
+            format!(
+                r#"{{"event":"disconnected","worker":{},"released":{released},"why":{}}}"#,
+                json_str(worker),
+                json_str(why)
+            )
+        });
+    }
+
+    /// Assembles the report once no worker is left: the first failure if
+    /// any, [`StudyError::Incomplete`] if the budget left cells pending,
+    /// else the plan-order results.
+    pub(crate) fn finish(self) -> Result<SweepReport, StudyError> {
+        let board = self.board.into_inner().expect("lease board");
+        if let Some(error) = board.error {
+            return Err(error);
+        }
+        let total = self.plan.cells.len();
+        let (executed, completed) = (board.executed, board.done);
+        if !board.all_done() {
+            event!(
+                Level::Info,
+                "study.sched",
+                { completed: completed, total: total, executed: executed },
+                "cell budget reached: {completed}/{total} cells persisted; re-run to resume"
+            );
+            return Err(StudyError::Incomplete { completed, total });
+        }
+        let store_hits = completed - executed;
+        let results = StudyResults {
+            config: self.config.clone(),
+            cells: self
+                .plan
+                .cells
+                .into_iter()
+                .zip(board.slots)
+                .map(|(cell, slot)| (cell.key, slot.expect("every cell completed")))
+                .collect(),
+        };
+        let seconds = self.t0.elapsed().as_secs_f64();
+        let (store_misses, store_writes) = self.store.map_or((0, 0), |s| (s.misses(), s.stores()));
+        if let Some(store) = self.store {
+            event!(
+                Level::Info,
+                "study.store",
+                { hits: store.hits(), misses: store_misses, stores: store_writes },
+                "result store: {} hit(s), {store_misses} miss(es), {store_writes} write(s)",
+                store.hits()
+            );
+        }
+        if executed == 0 && store_hits == total {
+            event!(
+                Level::Info,
+                "study.sched",
+                { cells: total, seconds: seconds },
+                "all {total} cells served from result store (0 campaigns executed)"
+            );
+        } else {
+            event!(
+                Level::Info,
+                "study.sched",
+                {
+                    executed: executed,
+                    store_hits: store_hits,
+                    rejected: board.rejected,
+                    seconds: seconds
+                },
+                "study complete: {executed} cell(s) executed, {store_hits} served \
+                 from store in {seconds:.1}s"
+            );
+        }
+        Ok(SweepReport {
+            results,
+            executed,
+            store_hits,
+            store_misses,
+            store_writes,
+            cells: total,
+            seconds,
+        })
+    }
+}
+
+/// Appends one line to the forensics log, if there is one (the line is
+/// only formatted then).
+pub(crate) fn log_line(log: Option<&Mutex<std::fs::File>>, line: impl FnOnce() -> String) {
+    if let Some(log) = log {
+        let _ = writeln!(log.lock().expect("progress log"), "{}", line());
+    }
+}
+
+/// JSON string literal (quoted, escaped) for hand-rolled log lines.
+pub(crate) fn json_str(s: &str) -> String {
+    serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"?\"".to_string())
+}
+
+/// An in-process worker's link to the board: direct calls.
+struct Direct<'s, 'a> {
+    sweep: &'s Sweep<'a>,
+    name: &'s str,
+}
+
+impl Link for Direct<'_, '_> {
+    fn call(&mut self, request: Request) -> Result<Response, StudyError> {
+        Ok(match self.sweep.answer(self.name, request) {
+            // In-process leases never expire and are never released, so
+            // nothing grantable now means nothing more for this worker.
+            Response::Wait { .. } => Response::Done,
+            response => response,
+        })
+    }
+}
+
+/// What one sweep did, beyond the results ([`Orchestrator::execute`] and
+/// [`crate::Coordinator::serve`] report alike).
 #[derive(Debug)]
 pub struct SweepReport {
     /// The complete study results (identical to a serial [`crate::Study::run`]).
@@ -199,19 +817,11 @@ impl Orchestrator {
 
     /// The cell keys in plan (= result) order.
     pub fn plan(&self) -> Vec<CellKey> {
-        let mut keys = Vec::new();
-        for machine in &self.config.machines {
-            for &workload in &self.config.workloads {
-                for &level in &self.config.levels {
-                    keys.push(CellKey {
-                        machine: machine.name.clone(),
-                        workload,
-                        level,
-                    });
-                }
-            }
-        }
-        keys
+        Plan::new(&self.config)
+            .cells
+            .into_iter()
+            .map(|cell| cell.key)
+            .collect()
     }
 
     /// Runs the study without a progress callback.
@@ -226,11 +836,14 @@ impl Orchestrator {
     /// Runs the study, reporting each completed cell to `progress` (from
     /// whichever worker finished it; messages keep the serial
     /// `[done/total] machine/workload/level` shape, with ` (store)`
-    /// appended for store-served cells).
+    /// appended for store-served cells). With one cell worker the worker
+    /// runs on the calling thread; a sweep the store serves entirely
+    /// starts none.
     ///
     /// # Errors
     ///
-    /// * [`StudyError::Config`] for an empty grid axis,
+    /// * [`StudyError::Config`] for an empty grid axis or a machine the
+    ///   simulator cannot run,
     /// * [`StudyError::Compile`] / [`StudyError::Golden`] when a cell's
     ///   program is broken,
     /// * [`StudyError::Io`] / [`StudyError::Format`] when the result store
@@ -238,264 +851,53 @@ impl Orchestrator {
     /// * [`StudyError::Incomplete`] when a [`Orchestrator::cell_budget`]
     ///   stopped the sweep before every cell was measured.
     pub fn execute(&self, progress: &(dyn Fn(&str) + Sync)) -> Result<SweepReport, StudyError> {
-        let cfg = &self.config;
-        cfg.validate().map_err(StudyError::Config)?;
-        let t0 = Instant::now();
-
-        // Plan: deduplicated compile units + one CellPlan per coordinate.
-        let mut plan_sp = span("sched.plan");
-        let mut units: Vec<(Profile, Workload, OptLevel)> = Vec::new();
-        let mut cells: Vec<CellPlan<'_>> = Vec::new();
-        for machine in &cfg.machines {
-            for &workload in &cfg.workloads {
-                for &level in &cfg.levels {
-                    let unit_key = (machine.profile, workload, level);
-                    let unit = units
-                        .iter()
-                        .position(|u| *u == unit_key)
-                        .unwrap_or_else(|| {
-                            units.push(unit_key);
-                            units.len() - 1
-                        });
-                    cells.push(CellPlan {
-                        machine,
-                        workload,
-                        level,
-                        unit,
-                        hash: cell_config_hash(cfg, machine, workload, level),
-                    });
-                }
-            }
-        }
-        let total = cells.len();
-        let workers = self.cell_workers.clamp(1, total.max(1));
-        plan_sp.record("cells", total as u64);
-        plan_sp.record("compile_units", units.len() as u64);
-        drop(plan_sp);
+        // In-process leases never expire: a worker holds its cell until it
+        // submits it or the sweep fails.
+        let mut sweep = Sweep::new(&self.config, self.store.as_ref(), u64::MAX, progress)?;
+        sweep.board.get_mut().expect("lease board").budget = self.cell_budget;
+        let served = sweep.serve_stored(self.refresh);
+        let total = sweep.plan.cells.len();
+        let workers = self.cell_workers.min(total - served);
         event!(
             Level::Info,
             "study.sched",
             {
                 cells: total,
-                compile_units: units.len(),
+                compile_units: sweep.plan.units,
+                store_hits: served,
                 workers: workers,
-                injections: cfg.total_injections()
+                injections: self.config.total_injections()
             },
-            "planned {total} cells over {} compile units on {workers} worker(s) \
-             ({} injections total)",
-            units.len(),
-            cfg.total_injections()
+            "planned {total} cells over {} compile units ({served} from the store) on \
+             {workers} worker(s) ({} injections total)",
+            sweep.plan.units,
+            self.config.total_injections()
         );
-
-        let compiled: Vec<OnceLock<Result<Compiled, String>>> =
-            (0..units.len()).map(|_| OnceLock::new()).collect();
-        let slots: Vec<OnceLock<(CellKey, CellResult)>> =
-            (0..total).map(|_| OnceLock::new()).collect();
-        let next = AtomicUsize::new(0);
-        let executed = AtomicUsize::new(0);
-        let served = AtomicUsize::new(0);
-        let done = AtomicUsize::new(0);
-        let budget_hit = AtomicBool::new(false);
-        let failure: Mutex<Option<StudyError>> = Mutex::new(None);
-
-        let worker = || {
-            loop {
-                if failure.lock().expect("failure slot").is_some() {
-                    break;
-                }
-                let k = next.fetch_add(1, Ordering::Relaxed);
-                let Some(plan) = cells.get(k) else {
-                    break;
-                };
-                let key = plan.key();
-                let mut cell_sp = span("cell");
-                cell_sp.record("machine", plan.machine.name.clone());
-                cell_sp.record("workload", plan.workload.to_string());
-                cell_sp.record("level", plan.level.to_string());
-                // 1. Result store: an identical already-measured cell is
-                //    served from disk instead of re-executed.
-                if !self.refresh {
-                    let lookup = {
-                        let _sp = span("cell.lookup");
-                        self.store.as_ref().and_then(|s| s.load(&plan.hash, &key))
-                    };
-                    if let Some(result) = lookup {
-                        cell_sp.record("hit", true);
-                        served.fetch_add(1, Ordering::Relaxed);
-                        let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                        event!(
-                            Level::Info,
-                            "study.sched",
-                            { cell: key.to_string(), done: d, total: total, hash: plan.hash.clone() },
-                            "[{d}/{total}] {key} served from result store"
-                        );
-                        let _ = slots[k].set((key.clone(), result));
-                        progress(&format!("[{d}/{total}] {key} (store)"));
-                        continue;
-                    }
-                }
-                cell_sp.record("hit", false);
-                // 2. Execution budget: leave the cell for a later
-                //    invocation once this one's slice is spent.
-                if let Some(budget) = self.cell_budget {
-                    let claimed = executed.fetch_add(1, Ordering::Relaxed);
-                    if claimed >= budget {
-                        executed.fetch_sub(1, Ordering::Relaxed);
-                        budget_hit.store(true, Ordering::Relaxed);
-                        continue;
-                    }
-                } else {
-                    executed.fetch_add(1, Ordering::Relaxed);
-                }
-                // 3. Compile (shared across machines with this profile;
-                //    the span also covers waiting on another worker's
-                //    in-flight compile of the same unit).
-                let compiled = {
-                    let _sp = span("cell.compile");
-                    compiled[plan.unit].get_or_init(|| {
-                        Compiler::new(plan.machine.profile, plan.level)
-                            .compile(&plan.workload.source(cfg.scale))
-                            .map_err(|e| format!("{} at {}: {e}", plan.workload, plan.level))
-                    })
-                };
-                let compiled = match compiled {
-                    Ok(compiled) => compiled,
-                    Err(e) => {
-                        fail(&failure, StudyError::Compile(e.clone()));
-                        break;
-                    }
-                };
-                // 4. Golden run + per-structure campaigns.
-                let mut exec_sp = span("cell.execute");
-                let result = match run_cell(cfg, plan.machine, compiled) {
-                    Ok(result) => result,
-                    Err(e) => {
-                        fail(
-                            &failure,
-                            StudyError::Golden(format!(
-                                "{} at {} on {}: {e}",
-                                plan.workload, plan.level, plan.machine.name
-                            )),
-                        );
-                        break;
-                    }
-                };
-                exec_sp.record("campaigns", cfg.structures.len() as u64);
-                drop(exec_sp);
-                // 5. Persist before reporting, so a kill after this point
-                //    never loses the cell.
-                if let Some(store) = &self.store {
-                    let _sp = span("cell.store");
-                    if let Err(e) = store.save(&plan.hash, &key, &result) {
-                        fail(&failure, e);
-                        break;
-                    }
-                }
-                let d = done.fetch_add(1, Ordering::Relaxed) + 1;
-                let elapsed = t0.elapsed().as_secs_f64();
-                let eta = elapsed / d as f64 * (total - d) as f64;
-                event!(
-                    Level::Info,
-                    "study.sched",
-                    {
-                        cell: key.to_string(),
-                        done: d,
-                        total: total,
-                        elapsed_s: elapsed,
-                        eta_s: eta
-                    },
-                    "[{d}/{total}] {key} done ({elapsed:.1}s elapsed, ETA {eta:.0}s)"
-                );
-                let _ = slots[k].set((key.clone(), result));
-                progress(&format!("[{d}/{total}] {key}"));
+        let units = sweep.plan.compile_table();
+        let worker = |i: usize| {
+            let opts = WorkerOptions {
+                name: format!("cell-worker#{i}"),
+                ..WorkerOptions::default()
+            };
+            let mut link = Direct {
+                sweep: &sweep,
+                name: &opts.name,
+            };
+            if let Err(e) = work(&mut link, &self.config, &sweep.plan, &units, &opts) {
+                sweep.fail(e);
             }
         };
-        if workers <= 1 {
-            worker();
-        } else {
-            std::thread::scope(|scope| {
-                let handles: Vec<_> = (0..workers).map(|_| scope.spawn(worker)).collect();
-                for handle in handles {
-                    handle.join().expect("cell worker panicked");
+        match workers {
+            0 => {} // the store served every cell
+            1 => worker(0),
+            _ => std::thread::scope(|scope| {
+                for i in 0..workers {
+                    let worker = &worker;
+                    scope.spawn(move || worker(i));
                 }
-            });
+            }),
         }
-
-        if let Some(error) = failure.lock().expect("failure slot").take() {
-            return Err(error);
-        }
-        let executed = executed.load(Ordering::Relaxed);
-        let store_hits = served.load(Ordering::Relaxed);
-        if budget_hit.load(Ordering::Relaxed) {
-            let completed = done.load(Ordering::Relaxed);
-            event!(
-                Level::Info,
-                "study.sched",
-                { completed: completed, total: total, executed: executed },
-                "cell budget reached: {completed}/{total} cells persisted; \
-                 re-run to resume"
-            );
-            return Err(StudyError::Incomplete { completed, total });
-        }
-        let results = StudyResults {
-            config: cfg.clone(),
-            cells: slots
-                .into_iter()
-                .map(|slot| slot.into_inner().expect("every cell completed"))
-                .collect(),
-        };
-        let seconds = t0.elapsed().as_secs_f64();
-        let (store_misses, store_writes) = self
-            .store
-            .as_ref()
-            .map_or((0, 0), |s| (s.misses(), s.stores()));
-        if let Some(store) = &self.store {
-            event!(
-                Level::Info,
-                "study.store",
-                {
-                    hits: store.hits(),
-                    misses: store_misses,
-                    stores: store_writes
-                },
-                "result store: {} hit(s), {store_misses} miss(es), {store_writes} write(s)",
-                store.hits()
-            );
-        }
-        if executed == 0 && store_hits == total {
-            event!(
-                Level::Info,
-                "study.sched",
-                { cells: total, seconds: seconds },
-                "all {total} cells served from result store (0 campaigns executed)"
-            );
-        } else {
-            event!(
-                Level::Info,
-                "study.sched",
-                { executed: executed, store_hits: store_hits, seconds: seconds },
-                "study complete: {executed} cell(s) executed, {store_hits} served \
-                 from store in {seconds:.1}s"
-            );
-        }
-        Ok(SweepReport {
-            results,
-            executed,
-            store_hits,
-            store_misses,
-            store_writes,
-            cells: total,
-            seconds,
-        })
-    }
-}
-
-/// Records the sweep's first failure; later ones are dropped (workers stop
-/// claiming as soon as one is set).
-fn fail(slot: &Mutex<Option<StudyError>>, error: StudyError) {
-    let mut slot = slot.lock().expect("failure slot");
-    if slot.is_none() {
-        *slot = Some(error);
+        sweep.finish()
     }
 }
 
@@ -537,19 +939,17 @@ mod tests {
 
     #[test]
     fn compile_units_are_shared_per_profile() {
-        // Two machines with different profiles: no sharing across them,
-        // but a hypothetical same-profile pair would collapse. Assert the
-        // plan's arithmetic instead of private state: 2 machines × 1
-        // workload × 2 levels with distinct profiles = 4 units, and with a
-        // duplicated machine the unit count must not grow.
+        // A twin of the A15 shares its profile, so the plan gains cells
+        // but no compile units, and the twin's cells reuse the same
+        // compiled program and must produce identical measurements.
         let mut cfg = tiny_config();
         let mut clone = cfg.machines[0].clone();
         clone.name = "Cortex-A15-twin".into();
         cfg.machines.push(clone);
-        let orch = Orchestrator::new(cfg);
-        let results = orch.run().unwrap();
-        // The twin shares the A15's profile, so its cells reuse the same
-        // compiled program and must produce identical measurements.
+        let plan = Plan::new(&cfg);
+        assert_eq!((plan.cells.len(), plan.units), (6, 4));
+        assert_eq!(plan.cells[4].unit, plan.cells[0].unit);
+        let results = Orchestrator::new(cfg).run().unwrap();
         for level in [OptLevel::O0, OptLevel::O2] {
             let a = results.cell("Cortex-A15-like", Workload::Qsort, level);
             let b = results.cell("Cortex-A15-twin", Workload::Qsort, level);
@@ -567,5 +967,119 @@ mod tests {
             Err(StudyError::Config(msg)) => assert!(msg.contains("workload"), "{msg}"),
             other => panic!("expected Config error, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn grants_are_plan_ordered_and_capped() {
+        let mut board = LeaseBoard::new(5, 1_000);
+        let grants = board.grant("w0", 3, 0);
+        assert_eq!(
+            grants.iter().map(|g| g.0).collect::<Vec<_>>(),
+            vec![0, 1, 2]
+        );
+        assert_eq!(board.inflight("w0"), 3);
+        // Distinct lease ids, shared deadline.
+        assert_eq!(grants[0].1, 0);
+        assert_eq!(grants[1].1, 1);
+        assert_eq!(grants[0].2, 1_000);
+        // A second worker gets the remainder.
+        let grants = board.grant("w1", 10, 5);
+        assert_eq!(grants.iter().map(|g| g.0).collect::<Vec<_>>(), vec![3, 4]);
+        // Nothing left: an empty grant, not a panic.
+        assert!(board.grant("w2", 1, 6).is_empty());
+    }
+
+    #[test]
+    fn expired_leases_are_regranted_idempotently() {
+        let mut board = LeaseBoard::new(2, 100);
+        let first = board.grant("dead", 2, 0);
+        assert_eq!(first.len(), 2);
+        // Before the deadline nothing is reclaimable.
+        assert!(board.grant("live", 2, 99).is_empty());
+        // At/after the deadline both cells move to the live worker with
+        // fresh lease ids.
+        let second = board.grant("live", 2, 100);
+        assert_eq!(second.len(), 2);
+        assert_ne!(first[0].1, second[0].1, "re-grants mint new lease ids");
+        assert_eq!(board.inflight("dead"), 0);
+        assert_eq!(board.inflight("live"), 2);
+        // The dead worker's late submission is still acknowledged once
+        // the live worker already finished the cell.
+        assert_eq!(board.submit(0), SubmitVerdict::Accept);
+        assert_eq!(board.submit(0), SubmitVerdict::AlreadyDone);
+        assert_eq!(board.done, 1);
+    }
+
+    #[test]
+    fn release_worker_returns_cells_immediately() {
+        let mut board = LeaseBoard::new(3, 1_000_000);
+        board.grant("w0", 2, 0);
+        board.grant("w1", 1, 0);
+        assert_eq!(board.release_worker("w0"), 2);
+        // Long before any deadline, the released cells are grantable.
+        let grants = board.grant("w1", 3, 1);
+        assert_eq!(grants.len(), 2);
+        assert_eq!(board.inflight("w1"), 3);
+        assert_eq!(board.release_worker("w0"), 0, "idempotent");
+    }
+
+    #[test]
+    fn store_served_cells_never_enter_the_lease_pool() {
+        let mut board = LeaseBoard::new(3, 1_000);
+        board.mark_done(1);
+        board.mark_done(1); // idempotent
+        assert_eq!(board.done, 1);
+        let grants = board.grant("w0", 3, 0);
+        assert_eq!(
+            grants.iter().map(|g| g.0).collect::<Vec<_>>(),
+            vec![0, 2],
+            "the store-served cell is skipped"
+        );
+        assert_eq!(board.submit(0), SubmitVerdict::Accept);
+        assert_eq!(board.submit(2), SubmitVerdict::Accept);
+        assert!(board.all_done());
+    }
+
+    #[test]
+    fn the_budget_caps_executed_plus_leased_cells() {
+        let mut board = LeaseBoard::new(4, u64::MAX);
+        board.budget = Some(2);
+        assert_eq!(board.grant("w0", 1, 0).len(), 1);
+        assert_eq!(board.grant("w1", 3, 0).len(), 1, "one cell of room left");
+        assert!(board.grant("w2", 1, 0).is_empty());
+        board.submit(0);
+        assert!(
+            board.grant("w0", 1, 0).is_empty(),
+            "an executed cell still counts against the budget"
+        );
+        assert_eq!(board.release_worker("w1"), 1);
+        assert_eq!(board.grant("w2", 1, 0).len(), 1, "a released cell refunds");
+    }
+
+    #[test]
+    fn an_in_process_worker_stops_when_nothing_is_pending() {
+        let cfg = tiny_config();
+        let sweep = Sweep::new(&cfg, None, u64::MAX, &|_| {}).unwrap();
+        let mut a = Direct {
+            sweep: &sweep,
+            name: "a",
+        };
+        let grants = match a.call(Request::Lease { want: 4 }).unwrap() {
+            Response::Leases { grants } => grants,
+            other => panic!("expected grants, got {other:?}"),
+        };
+        assert_eq!(grants.len(), 4);
+        // Every cell is leased and none is done: a remote worker is told
+        // to wait, an in-process one to stop.
+        assert_eq!(
+            sweep.answer("b", Request::Lease { want: 1 }),
+            Response::Wait { ms: WAIT_MS }
+        );
+        let mut b = Direct {
+            sweep: &sweep,
+            name: "b",
+        };
+        assert_eq!(b.call(Request::Lease { want: 1 }).unwrap(), Response::Done);
+        assert!(!sweep.settled(), "the leased cells are still outstanding");
     }
 }

@@ -1,195 +1,32 @@
-//! The `softerr-serve` coordinator: plans a study, leases cells to worker
-//! processes, verifies their submissions, and owns the result store.
+//! The `softerr-serve` coordinator: serves a study's lease board to worker
+//! processes over TCP and owns the result store.
 //!
-//! Trust model: workers are **untrusted processes**. The coordinator never
-//! lets a worker address the store directly — every `Submit` is checked
-//! against the coordinator's *own* plan: the hash must be one the
-//! coordinator computed (a worker cannot invent cells or move results
-//! between coordinates), the echoed key must match that hash's planned
+//! The board, the plan and the accept path are the scheduler's (see
+//! `crate::sched`); this module is the TCP side of it: an accept loop,
+//! one handler thread per connection, the `Hello` handshake, and frames
+//! in and out. Every request after the handshake is answered by the same
+//! calls the in-process workers of [`crate::Orchestrator`] make directly.
+//!
+//! Trust model: workers are **untrusted processes**. No worker addresses
+//! the store directly — every `Submit` is checked against the
+//! coordinator's *own* plan: the hash must be one the coordinator
+//! computed (a worker cannot invent cells or move results between
+//! coordinates), the echoed key must match that hash's planned
 //! coordinate, and the result's shape (one campaign per configured
-//! structure, in order) must match the study. Only the coordinator
-//! writes [`ResultStore`] cells, so a distributed store is byte-identical
-//! to a serial one by construction.
-//!
-//! Lease state machine (per cell): `Pending → Leased → Done`, with
-//! `Leased → Pending` on deadline expiry or worker disconnect, and
-//! `Leased → Leased` when an expired cell is re-granted. `Done` is
-//! terminal: a late submit from a lost lease is acknowledged idempotently
-//! ([`SubmitVerdict::AlreadyDone`]) but its payload is discarded; and
-//! because a *live* stale lease's payload is addressed by the same
-//! content hash, accepting it early is equally sound — the cell's result
-//! is a pure function of the config, so whoever finishes first wins.
+//! structure, in order) must match the study. Only the coordinator writes
+//! [`ResultStore`] cells, so a distributed store is byte-identical to a
+//! serial one by construction.
 
-use super::wire::{self, LeaseGrant, Request, Response, PROTOCOL_VERSION};
-use crate::sched::SweepReport;
-use crate::store::{cell_config_hash, ResultStore};
-use crate::study::{CellKey, CellResult, StudyConfig, StudyError, StudyResults};
+use super::wire::{self, Request, Response, PROTOCOL_VERSION};
+use crate::sched::{json_str, log_line, Sweep, SweepReport};
+use crate::store::ResultStore;
+use crate::study::{StudyConfig, StudyError};
 use softerr_telemetry::{event, span, Level};
-use std::io::Write;
-use std::net::{TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
-
-/// Suggested worker retry delay when every remaining cell is leased out.
-const WAIT_MS: u64 = 100;
-
-/// Per-cell scheduling state. See the module docs for the transitions.
-#[derive(Debug, Clone, PartialEq)]
-enum CellState {
-    /// Not yet granted to anyone (or reclaimed from a lost lease).
-    Pending,
-    /// Granted; past `deadline_ms` the cell is reclaimable.
-    Leased {
-        lease: u64,
-        worker: String,
-        deadline_ms: u64,
-    },
-    /// Verified, persisted, terminal.
-    Done,
-}
-
-/// What a `Submit` did to the board.
-#[derive(Debug, PartialEq, Eq)]
-enum SubmitVerdict {
-    /// First completion of the cell: persist and report it.
-    Accept,
-    /// The cell was already completed (store hit, or another worker beat
-    /// this one after its lease expired). Acknowledge, discard payload.
-    AlreadyDone,
-}
-
-/// Pure lease bookkeeping over the planned cells. Time is a parameter
-/// (`now_ms`, milliseconds on the coordinator's clock) rather than read
-/// from a wall clock, so expiry and re-lease logic is unit-testable
-/// without sleeping.
-#[derive(Debug)]
-struct LeaseBoard {
-    states: Vec<CellState>,
-    lease_ms: u64,
-    next_lease: u64,
-    done: usize,
-}
-
-impl LeaseBoard {
-    fn new(cells: usize, lease_ms: u64) -> LeaseBoard {
-        LeaseBoard {
-            states: vec![CellState::Pending; cells],
-            lease_ms,
-            next_lease: 0,
-            done: 0,
-        }
-    }
-
-    /// Marks a cell complete outside the lease flow (store-served at plan
-    /// time).
-    fn mark_done(&mut self, idx: usize) {
-        if self.states[idx] != CellState::Done {
-            self.states[idx] = CellState::Done;
-            self.done += 1;
-        }
-    }
-
-    /// Returns expired leases to `Pending`. Called before every grant, so
-    /// a dead worker's cells become grantable the next time any live
-    /// worker asks for work.
-    fn reclaim_expired(&mut self, now_ms: u64) -> usize {
-        let mut reclaimed = 0;
-        for state in &mut self.states {
-            if let CellState::Leased { deadline_ms, .. } = state {
-                if *deadline_ms <= now_ms {
-                    *state = CellState::Pending;
-                    reclaimed += 1;
-                }
-            }
-        }
-        reclaimed
-    }
-
-    /// Cells currently leased to `worker` (the backpressure measure).
-    fn inflight(&self, worker: &str) -> usize {
-        self.states
-            .iter()
-            .filter(|s| matches!(s, CellState::Leased { worker: w, .. } if w == worker))
-            .count()
-    }
-
-    /// Grants up to `want` pending cells (plan order) to `worker`,
-    /// reclaiming expired leases first. Returns `(cell index, lease id,
-    /// deadline)` triples.
-    fn grant(&mut self, worker: &str, want: usize, now_ms: u64) -> Vec<(usize, u64, u64)> {
-        self.reclaim_expired(now_ms);
-        let deadline_ms = now_ms + self.lease_ms;
-        let mut grants = Vec::new();
-        for (idx, state) in self.states.iter_mut().enumerate() {
-            if grants.len() >= want {
-                break;
-            }
-            if *state == CellState::Pending {
-                let lease = self.next_lease;
-                self.next_lease += 1;
-                *state = CellState::Leased {
-                    lease,
-                    worker: worker.to_string(),
-                    deadline_ms,
-                };
-                grants.push((idx, lease, deadline_ms));
-            }
-        }
-        grants
-    }
-
-    /// Applies a (hash-verified) submission for cell `idx`. The lease id
-    /// is not required to still be current: the payload is addressed by a
-    /// content hash the coordinator computed itself, so a submission from
-    /// an expired-and-re-granted lease is just the same deterministic
-    /// result arriving from a different worker.
-    fn submit(&mut self, idx: usize) -> SubmitVerdict {
-        match self.states[idx] {
-            CellState::Done => SubmitVerdict::AlreadyDone,
-            CellState::Pending | CellState::Leased { .. } => {
-                self.states[idx] = CellState::Done;
-                self.done += 1;
-                SubmitVerdict::Accept
-            }
-        }
-    }
-
-    /// Returns a disconnected worker's leases to `Pending` immediately,
-    /// without waiting for their deadlines.
-    fn release_worker(&mut self, worker: &str) -> usize {
-        let mut released = 0;
-        for state in &mut self.states {
-            if matches!(state, CellState::Leased { worker: w, .. } if w == worker) {
-                *state = CellState::Pending;
-                released += 1;
-            }
-        }
-        released
-    }
-
-    fn all_done(&self) -> bool {
-        self.done == self.states.len()
-    }
-}
-
-/// Shared coordinator state: the board plus plan-order result slots.
-struct Shared {
-    board: LeaseBoard,
-    slots: Vec<Option<CellResult>>,
-    /// Cells executed by workers (accepted submissions).
-    executed: usize,
-    /// Submissions rejected by verification.
-    rejected: usize,
-    error: Option<StudyError>,
-}
-
-/// One planned cell, from the coordinator's point of view.
-struct PlannedCell {
-    key: CellKey,
-    hash: String,
-}
+use std::time::Duration;
 
 /// Serves a [`StudyConfig`] to remote workers over TCP and assembles the
 /// same [`SweepReport`] a local [`crate::Orchestrator`] would produce.
@@ -273,69 +110,27 @@ impl Coordinator {
     ///
     /// # Errors
     ///
-    /// * [`StudyError::Config`] for a degenerate grid,
+    /// * [`StudyError::Config`] for a degenerate grid or a machine the
+    ///   simulator cannot run,
     /// * [`StudyError::Io`] when the listener fails or the store cannot
     ///   persist a verified cell.
     pub fn serve(&self, listener: &TcpListener) -> Result<SweepReport, StudyError> {
-        self.config.validate().map_err(StudyError::Config)?;
-        let t0 = Instant::now();
+        let quiet = |_: &str| {};
+        let mut sweep = Sweep::new(&self.config, Some(&self.store), self.lease_ms, &quiet)?;
+        let total = sweep.plan.cells.len();
         let mut serve_sp = span("serve");
-
-        // Plan: same nesting (and therefore same plan order) as the
-        // in-process orchestrator.
-        let mut cells = Vec::new();
-        for machine in &self.config.machines {
-            for &workload in &self.config.workloads {
-                for &level in &self.config.levels {
-                    cells.push(PlannedCell {
-                        key: CellKey {
-                            machine: machine.name.clone(),
-                            workload,
-                            level,
-                        },
-                        hash: cell_config_hash(&self.config, machine, workload, level),
-                    });
-                }
-            }
-        }
-        let total = cells.len();
         serve_sp.record("cells", total as u64);
-
-        let log = match &self.progress_log {
-            Some(path) => Some(Mutex::new(
-                std::fs::OpenOptions::new()
-                    .create(true)
-                    .append(true)
-                    .open(path)?,
-            )),
-            None => None,
-        };
-
-        // Resolve store hits up front: those cells never go on the wire.
-        let mut shared = Shared {
-            board: LeaseBoard::new(total, self.lease_ms),
-            slots: (0..total).map(|_| None).collect(),
-            executed: 0,
-            rejected: 0,
-            error: None,
-        };
-        let mut store_hits = 0;
-        if !self.refresh {
-            for (idx, cell) in cells.iter().enumerate() {
-                if let Some(result) = self.store.load(&cell.hash, &cell.key) {
-                    shared.slots[idx] = Some(result);
-                    shared.board.mark_done(idx);
-                    store_hits += 1;
-                    self.log_line(
-                        log.as_ref(),
-                        &format!(
-                            r#"{{"event":"store","cell":"{}","done":{},"total":{total}}}"#,
-                            cell.key, shared.board.done
-                        ),
-                    );
-                }
-            }
+        sweep.max_inflight = self.max_inflight;
+        if let Some(path) = &self.progress_log {
+            let file = std::fs::OpenOptions::new()
+                .create(true)
+                .append(true)
+                .open(path)?;
+            sweep.log = Some(Mutex::new(file));
         }
+
+        // Store hits never go on the wire.
+        let store_hits = sweep.serve_stored(self.refresh);
         event!(
             Level::Info,
             "study.sched",
@@ -351,9 +146,8 @@ impl Coordinator {
                 .map_or_else(|_| "<unknown>".to_string(), |a| a.to_string())
         );
 
-        if !shared.board.all_done() {
+        if !sweep.settled() {
             let local = listener.local_addr()?;
-            let shared = Mutex::new(shared);
             let done_flag = AtomicBool::new(false);
             let mut accept_error: Option<std::io::Error> = None;
             std::thread::scope(|scope| {
@@ -376,90 +170,19 @@ impl Coordinator {
                     conn_id += 1;
                     let ctx = ConnCtx {
                         coordinator: self,
-                        cells: &cells,
-                        shared: &shared,
+                        sweep: &sweep,
                         done_flag: &done_flag,
                         local,
-                        total,
-                        t0,
-                        log: log.as_ref(),
                         conn_id,
                     };
                     scope.spawn(move || ctx.handle(stream));
                 }
             });
-            let mut shared = shared.into_inner().expect("coordinator state");
             if let Some(e) = accept_error {
-                shared.error.get_or_insert(StudyError::Io(e));
+                sweep.fail(StudyError::Io(e));
             }
-            if let Some(e) = shared.error.take() {
-                return Err(e);
-            }
-            return self.finish(shared, cells, store_hits, total, t0);
         }
-        self.finish(shared, cells, store_hits, total, t0)
-    }
-
-    /// Assembles the final report once every slot is filled.
-    fn finish(
-        &self,
-        shared: Shared,
-        cells: Vec<PlannedCell>,
-        store_hits: usize,
-        total: usize,
-        t0: Instant,
-    ) -> Result<SweepReport, StudyError> {
-        let executed = shared.executed;
-        let results = StudyResults {
-            config: self.config.clone(),
-            cells: cells
-                .into_iter()
-                .zip(shared.slots)
-                .map(|(cell, slot)| (cell.key, slot.expect("every cell completed")))
-                .collect(),
-        };
-        let seconds = t0.elapsed().as_secs_f64();
-        event!(
-            Level::Info,
-            "study.sched",
-            {
-                executed: executed,
-                store_hits: store_hits,
-                rejected: shared.rejected,
-                seconds: seconds
-            },
-            "distributed study complete: {executed} cell(s) executed remotely, \
-             {store_hits} served from store in {seconds:.1}s"
-        );
-        event!(
-            Level::Info,
-            "study.store",
-            {
-                hits: self.store.hits(),
-                misses: self.store.misses(),
-                stores: self.store.stores()
-            },
-            "result store: {} hit(s), {} miss(es), {} write(s)",
-            self.store.hits(),
-            self.store.misses(),
-            self.store.stores()
-        );
-        Ok(SweepReport {
-            results,
-            executed,
-            store_hits,
-            store_misses: self.store.misses(),
-            store_writes: self.store.stores(),
-            cells: total,
-            seconds,
-        })
-    }
-
-    fn log_line(&self, log: Option<&Mutex<std::fs::File>>, line: &str) {
-        if let Some(log) = log {
-            let mut file = log.lock().expect("progress log");
-            let _ = writeln!(file, "{line}");
-        }
+        sweep.finish()
     }
 }
 
@@ -467,21 +190,13 @@ impl Coordinator {
 /// can move a single value into the handler thread.
 struct ConnCtx<'a> {
     coordinator: &'a Coordinator,
-    cells: &'a [PlannedCell],
-    shared: &'a Mutex<Shared>,
+    sweep: &'a Sweep<'a>,
     done_flag: &'a AtomicBool,
-    local: std::net::SocketAddr,
-    total: usize,
-    t0: Instant,
-    log: Option<&'a Mutex<std::fs::File>>,
+    local: SocketAddr,
     conn_id: usize,
 }
 
 impl ConnCtx<'_> {
-    fn now_ms(&self) -> u64 {
-        self.t0.elapsed().as_millis() as u64
-    }
-
     /// Drives one worker connection to completion. Any transport error —
     /// EOF, timeout, garbage — releases the worker's leases and closes
     /// the connection; the study is unharmed because its cells return to
@@ -492,37 +207,30 @@ impl ConnCtx<'_> {
         let _ = stream.set_read_timeout(Some(Duration::from_millis(
             self.coordinator.lease_ms.saturating_mul(2).max(1_000),
         )));
-        let worker = match self.hello(&mut stream) {
-            Some(worker) => worker,
-            None => return,
+        let Some(worker) = self.hello(&mut stream) else {
+            return;
         };
         loop {
             let request: Request = match wire::read_frame(&mut stream) {
                 Ok(request) => request,
                 Err(e) => {
-                    self.disconnect(&worker, &e.to_string());
+                    self.sweep.release(&worker, &e.to_string());
                     return;
                 }
             };
-            let response = match request {
-                Request::Hello { .. } => Response::Reject {
-                    reason: "already greeted".to_string(),
-                },
-                Request::Lease { want } => self.lease(&worker, want),
-                Request::Submit {
-                    lease,
-                    hash,
-                    key,
-                    result,
-                } => self.submit(&worker, lease, hash, key, result),
-                Request::Bye => {
-                    self.disconnect(&worker, "bye");
-                    let _ = wire::write_frame(&mut stream, &Response::Bye);
-                    return;
-                }
-            };
-            if wire::write_frame(&mut stream, &response).is_err() {
-                self.disconnect(&worker, "write failed");
+            let bye = matches!(request, Request::Bye);
+            let response = self.sweep.answer(&worker, request);
+            if self.sweep.settled() && !self.done_flag.swap(true, Ordering::AcqRel) {
+                // The accept loop blocks in `accept`; a throwaway
+                // connection makes it re-check the done flag.
+                let _ = TcpStream::connect(self.local);
+            }
+            let written = wire::write_frame(&mut stream, &response);
+            if bye {
+                return;
+            }
+            if written.is_err() {
+                self.sweep.release(&worker, "write failed");
                 return;
             }
         }
@@ -532,305 +240,34 @@ impl ConnCtx<'_> {
     /// worker name.
     fn hello(&self, stream: &mut TcpStream) -> Option<String> {
         let request: Request = wire::read_frame(stream).ok()?;
-        let Request::Hello { version, worker } = request else {
-            let _ = wire::write_frame(
-                stream,
-                &Response::Reject {
-                    reason: "expected Hello".to_string(),
-                },
-            );
-            return None;
-        };
-        if version != PROTOCOL_VERSION {
-            let _ = wire::write_frame(
-                stream,
-                &Response::Reject {
-                    reason: format!(
-                        "protocol version mismatch: coordinator {PROTOCOL_VERSION}, worker {version}"
-                    ),
-                },
-            );
-            return None;
-        }
-        // Two workers may introduce themselves identically; the
-        // connection id keeps lease accounting per-connection.
-        let worker = format!("{worker}#{}", self.conn_id);
-        event!(
-            Level::Info,
-            "study.sched",
-            { worker: worker.clone() },
-            "worker {worker} connected"
-        );
-        self.coordinator.log_line(
-            self.log,
-            &format!(r#"{{"event":"connected","worker":{}}}"#, json_str(&worker)),
-        );
-        let welcome = Response::Welcome {
-            version: PROTOCOL_VERSION,
-            config: self.coordinator.config.clone(),
-            cells: self.total,
-        };
-        wire::write_frame(stream, &welcome).ok()?;
-        Some(worker)
-    }
-
-    fn lease(&self, worker: &str, want: usize) -> Response {
-        let mut shared = self.shared.lock().expect("coordinator state");
-        if shared.board.all_done() {
-            return Response::Done;
-        }
-        let headroom = self
-            .coordinator
-            .max_inflight
-            .saturating_sub(shared.board.inflight(worker));
-        let now = self.now_ms();
-        let granted = shared.board.grant(worker, want.min(headroom), now);
-        if granted.is_empty() {
-            return Response::Wait { ms: WAIT_MS };
-        }
-        let grants: Vec<LeaseGrant> = granted
-            .iter()
-            .map(|&(idx, lease, deadline_ms)| {
-                let cell = &self.cells[idx];
-                self.coordinator.log_line(
-                    self.log,
-                    &format!(
-                        r#"{{"event":"leased","cell":"{}","lease":{lease},"worker":{},"deadline_ms":{deadline_ms}}}"#,
-                        cell.key,
-                        json_str(worker)
-                    ),
-                );
-                LeaseGrant {
-                    lease,
-                    key: cell.key.clone(),
-                    hash: cell.hash.clone(),
-                    deadline_ms,
-                }
-            })
-            .collect();
-        event!(
-            Level::Debug,
-            "study.sched",
-            { worker: worker.to_string(), granted: grants.len() },
-            "leased {} cell(s) to {worker}",
-            grants.len()
-        );
-        Response::Leases { grants }
-    }
-
-    /// Verifies and applies one submission. The hash is the load-bearing
-    /// check: it must equal a coordinator-computed cell hash, so the
-    /// worker can neither invent coordinates nor relabel one cell's
-    /// result as another's.
-    fn submit(
-        &self,
-        worker: &str,
-        lease: u64,
-        hash: String,
-        key: CellKey,
-        result: CellResult,
-    ) -> Response {
-        let rejected = |reason: String| {
-            self.coordinator.log_line(
-                self.log,
-                &format!(
-                    r#"{{"event":"rejected","lease":{lease},"worker":{},"reason":{}}}"#,
-                    json_str(worker),
-                    json_str(&reason)
-                ),
-            );
-            event!(
-                Level::Warn,
-                "study.sched",
-                { worker: worker.to_string(), lease: lease, reason: reason.clone() },
-                "rejected submission from {worker}: {reason}"
-            );
-            Response::Rejected { lease, reason }
-        };
-        let Some(idx) = self.cells.iter().position(|c| c.hash == hash) else {
-            let mut shared = self.shared.lock().expect("coordinator state");
-            shared.rejected += 1;
-            return rejected(format!("hash {hash} is not a cell of this study"));
-        };
-        let cell = &self.cells[idx];
-        if cell.key != key {
-            let mut shared = self.shared.lock().expect("coordinator state");
-            shared.rejected += 1;
-            return rejected(format!(
-                "key mismatch: hash {hash} plans {}, submission claims {key}",
-                cell.key
-            ));
-        }
-        let structures: Vec<_> = result.campaigns.iter().map(|c| c.structure).collect();
-        if structures != self.coordinator.config.structures {
-            let mut shared = self.shared.lock().expect("coordinator state");
-            shared.rejected += 1;
-            return rejected(format!(
-                "campaign structure list {structures:?} does not match the study"
-            ));
-        }
-        let mut shared = self.shared.lock().expect("coordinator state");
-        match shared.board.submit(idx) {
-            SubmitVerdict::AlreadyDone => {
-                // A lost lease finished late; same deterministic bytes,
-                // nothing to do.
-                Response::Accepted { lease }
-            }
-            SubmitVerdict::Accept => {
-                // Persist before acknowledging, so a coordinator kill
-                // after the ack never loses an accepted cell.
-                if let Err(e) = self.coordinator.store.save(&hash, &key, &result) {
-                    shared.board.states[idx] = CellState::Pending;
-                    shared.board.done -= 1;
-                    shared.error.get_or_insert(e);
-                    self.wake();
-                    return rejected("coordinator failed to persist the cell".to_string());
-                }
-                shared.slots[idx] = Some(result);
-                shared.executed += 1;
-                let d = shared.board.done;
-                let elapsed = self.t0.elapsed().as_secs_f64();
-                let eta = elapsed / d as f64 * (self.total - d) as f64;
+        let reason = match request {
+            Request::Hello { version, .. } if version != PROTOCOL_VERSION => format!(
+                "protocol version mismatch: coordinator {PROTOCOL_VERSION}, worker {version}"
+            ),
+            Request::Hello { worker, .. } => {
+                // Two workers may introduce themselves identically; the
+                // connection id keeps lease accounting per-connection.
+                let worker = format!("{worker}#{}", self.conn_id);
                 event!(
                     Level::Info,
                     "study.sched",
-                    {
-                        cell: key.to_string(),
-                        worker: worker.to_string(),
-                        done: d,
-                        total: self.total,
-                        elapsed_s: elapsed,
-                        eta_s: eta
-                    },
-                    "[{d}/{}] {key} done by {worker} ({elapsed:.1}s elapsed, ETA {eta:.0}s)",
-                    self.total
+                    { worker: worker.clone() },
+                    "worker {worker} connected"
                 );
-                self.coordinator.log_line(
-                    self.log,
-                    &format!(
-                        r#"{{"event":"completed","cell":"{key}","lease":{lease},"worker":{},"done":{d},"total":{},"elapsed_s":{elapsed:?},"eta_s":{eta:?}}}"#,
-                        json_str(worker),
-                        self.total
-                    ),
-                );
-                if shared.board.all_done() {
-                    self.wake();
-                }
-                Response::Accepted { lease }
+                log_line(self.sweep.log.as_ref(), || {
+                    format!(r#"{{"event":"connected","worker":{}}}"#, json_str(&worker))
+                });
+                let welcome = Response::Welcome {
+                    version: PROTOCOL_VERSION,
+                    config: self.coordinator.config.clone(),
+                    cells: self.sweep.plan.cells.len(),
+                };
+                wire::write_frame(stream, &welcome).ok()?;
+                return Some(worker);
             }
-        }
-    }
-
-    /// Marks the study complete (or failed) and unblocks the accept loop.
-    fn wake(&self) {
-        self.done_flag.store(true, Ordering::Release);
-        // The accept loop blocks in `accept`; a throwaway connection
-        // makes it re-check the done flag.
-        let _ = TcpStream::connect(self.local);
-    }
-
-    fn disconnect(&self, worker: &str, why: &str) {
-        let released = {
-            let mut shared = self.shared.lock().expect("coordinator state");
-            shared.board.release_worker(worker)
+            _ => "expected Hello".to_string(),
         };
-        if released > 0 {
-            event!(
-                Level::Warn,
-                "study.sched",
-                { worker: worker.to_string(), released: released, why: why.to_string() },
-                "worker {worker} disconnected ({why}); {released} leased cell(s) \
-                 returned to the pool"
-            );
-        }
-        self.coordinator.log_line(
-            self.log,
-            &format!(
-                r#"{{"event":"disconnected","worker":{},"released":{released},"why":{}}}"#,
-                json_str(worker),
-                json_str(why)
-            ),
-        );
-    }
-}
-
-/// JSON string literal (quoted, escaped) for hand-rolled progress lines.
-fn json_str(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"?\"".to_string())
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn grants_are_plan_ordered_and_capped() {
-        let mut board = LeaseBoard::new(5, 1_000);
-        let grants = board.grant("w0", 3, 0);
-        assert_eq!(
-            grants.iter().map(|g| g.0).collect::<Vec<_>>(),
-            vec![0, 1, 2]
-        );
-        assert_eq!(board.inflight("w0"), 3);
-        // Distinct lease ids, shared deadline.
-        assert_eq!(grants[0].1, 0);
-        assert_eq!(grants[1].1, 1);
-        assert_eq!(grants[0].2, 1_000);
-        // A second worker gets the remainder.
-        let grants = board.grant("w1", 10, 5);
-        assert_eq!(grants.iter().map(|g| g.0).collect::<Vec<_>>(), vec![3, 4]);
-        // Nothing left: an empty grant, not a panic.
-        assert!(board.grant("w2", 1, 6).is_empty());
-    }
-
-    #[test]
-    fn expired_leases_are_regranted_idempotently() {
-        let mut board = LeaseBoard::new(2, 100);
-        let first = board.grant("dead", 2, 0);
-        assert_eq!(first.len(), 2);
-        // Before the deadline nothing is reclaimable.
-        assert!(board.grant("live", 2, 99).is_empty());
-        // At/after the deadline both cells move to the live worker with
-        // fresh lease ids.
-        let second = board.grant("live", 2, 100);
-        assert_eq!(second.len(), 2);
-        assert_ne!(first[0].1, second[0].1, "re-grants mint new lease ids");
-        assert_eq!(board.inflight("dead"), 0);
-        assert_eq!(board.inflight("live"), 2);
-        // The dead worker's late submission is still acknowledged once
-        // the live worker already finished the cell.
-        assert_eq!(board.submit(0), SubmitVerdict::Accept);
-        assert_eq!(board.submit(0), SubmitVerdict::AlreadyDone);
-        assert_eq!(board.done, 1);
-    }
-
-    #[test]
-    fn release_worker_returns_cells_immediately() {
-        let mut board = LeaseBoard::new(3, 1_000_000);
-        board.grant("w0", 2, 0);
-        board.grant("w1", 1, 0);
-        assert_eq!(board.release_worker("w0"), 2);
-        // Long before any deadline, the released cells are grantable.
-        let grants = board.grant("w1", 3, 1);
-        assert_eq!(grants.len(), 2);
-        assert_eq!(board.inflight("w1"), 3);
-        assert_eq!(board.release_worker("w0"), 0, "idempotent");
-    }
-
-    #[test]
-    fn store_served_cells_never_enter_the_lease_pool() {
-        let mut board = LeaseBoard::new(3, 1_000);
-        board.mark_done(1);
-        board.mark_done(1); // idempotent
-        assert_eq!(board.done, 1);
-        let grants = board.grant("w0", 3, 0);
-        assert_eq!(
-            grants.iter().map(|g| g.0).collect::<Vec<_>>(),
-            vec![0, 2],
-            "the store-served cell is skipped"
-        );
-        assert_eq!(board.submit(0), SubmitVerdict::Accept);
-        assert_eq!(board.submit(2), SubmitVerdict::Accept);
-        assert!(board.all_done());
+        let _ = wire::write_frame(stream, &Response::Reject { reason });
+        None
     }
 }

@@ -12,12 +12,13 @@
 //!   which process runs them),
 //! * only the coordinator writes the store, after re-verifying each
 //!   submission against its own plan (see [`Coordinator`]),
-//! * workers execute through the exact same code path as the in-process
-//!   orchestrator.
+//! * the coordinator serves the scheduler's one lease board, and remote
+//!   workers run the same worker loop as the in-process orchestrator; only
+//!   the link differs (TCP frames here, direct calls there).
 //!
 //! So `serial == parallel == distributed` holds byte-for-byte, and
 //! `tests/serve_equivalence.rs` asserts it end to end — including a
-//! worker killed mid-study, whose leases expire and are re-granted.
+//! worker killed mid-study, whose leases are released and re-granted.
 //!
 //! See DESIGN.md §15 for the wire protocol and the lease state machine.
 
@@ -28,3 +29,4 @@ mod worker;
 pub use coordinator::Coordinator;
 pub use wire::{read_frame, write_frame, LeaseGrant, Request, Response, PROTOCOL_VERSION};
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
+pub(crate) use worker::{work, Link};

@@ -39,6 +39,10 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// the largest `CellResult` are each well under a megabyte.
 pub const MAX_FRAME: usize = 64 << 20;
 
+/// Starting capacity of a frame's payload buffer; larger frames grow it
+/// as their bytes arrive.
+const READ_CAP: usize = 64 << 10;
+
 /// One leased cell: everything a worker needs to execute it and submit
 /// the result back under the right address.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -159,10 +163,11 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result
 ///
 /// # Errors
 ///
-/// `UnexpectedEof` when the peer closed the connection (clean or not),
-/// `InvalidData` for an oversized length prefix or a payload that is not
-/// valid `T`, and any underlying read failure (including a read-timeout
-/// `WouldBlock`/`TimedOut`, which callers treat as a dead peer).
+/// `UnexpectedEof` when the peer closed the connection (clean or not,
+/// including mid-payload), `InvalidData` for an oversized length prefix
+/// or a payload that is not valid `T`, and any underlying read failure
+/// (including a read-timeout `WouldBlock`/`TimedOut`, which callers treat
+/// as a dead peer).
 pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> std::io::Result<T> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
@@ -173,8 +178,16 @@ pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> std::io::Result<T> {
             format!("frame length {len} exceeds MAX_FRAME"),
         ));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
+    // Grow with what arrives, not with what the peer declares: a length
+    // prefix alone cannot make this side allocate `MAX_FRAME` bytes.
+    let mut payload = Vec::with_capacity(len.min(READ_CAP));
+    r.take(len as u64).read_to_end(&mut payload)?;
+    if payload.len() < len {
+        return Err(std::io::Error::new(
+            std::io::ErrorKind::UnexpectedEof,
+            "failed to fill whole buffer",
+        ));
+    }
     let json = std::str::from_utf8(&payload)
         .map_err(|e| std::io::Error::new(std::io::ErrorKind::InvalidData, e.to_string()))?;
     serde_json::from_str(json)
@@ -271,6 +284,36 @@ mod tests {
                 .unwrap_err()
                 .kind(),
             std::io::ErrorKind::InvalidData
+        );
+    }
+
+    /// A reader that records the largest buffer it is asked to fill.
+    struct Probe<'a> {
+        data: &'a [u8],
+        largest: usize,
+    }
+
+    impl Read for Probe<'_> {
+        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+            self.largest = self.largest.max(buf.len());
+            self.data.read(buf)
+        }
+    }
+
+    #[test]
+    fn a_declared_length_allocates_nothing_until_its_bytes_arrive() {
+        let mut data = (MAX_FRAME as u32).to_be_bytes().to_vec();
+        data.extend_from_slice(&[b' '; 10]);
+        let mut probe = Probe {
+            data: &data,
+            largest: 0,
+        };
+        let err = read_frame::<Request>(&mut probe).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
+        assert!(
+            probe.largest <= READ_CAP,
+            "asked for {} bytes before they arrived",
+            probe.largest
         );
     }
 

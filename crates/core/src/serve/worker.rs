@@ -1,24 +1,21 @@
-//! The worker side of the distributed campaign service.
+//! The cell-worker loop, and its remote face [`run_worker`].
 //!
-//! A worker is stateless and owns nothing: it connects, learns the full
-//! [`StudyConfig`] from the coordinator's `Welcome`, and then loops
-//! lease → compile (cached per compile unit) → execute → submit until
-//! the coordinator says `Done`. All persistence happens on the
-//! coordinator; a worker that dies mid-lease loses only wall-clock time,
-//! never data, because its cells are re-leased after the deadline.
-//!
-//! Execution goes through the same `run_cell` path as the in-process
-//! orchestrator, so a remotely-executed cell is bit-identical to a local
-//! one.
+//! A worker is stateless and owns nothing: it loops lease → compile
+//! (once per compile unit) → [`run_cell`] → submit until the board says
+//! `Done`. The same loop serves both drivers; only its [`Link`] to the
+//! board differs. A remote worker connects, learns the full
+//! [`StudyConfig`] from the coordinator's `Welcome`, and speaks frames
+//! over TCP; the in-process workers of [`crate::Orchestrator`] call the
+//! board directly. All persistence happens on the board's side; a remote
+//! worker that dies mid-lease loses only wall-clock time, never data,
+//! because its cells are released on disconnect or re-leased after the
+//! deadline.
 
 use super::wire::{self, LeaseGrant, Request, Response, PROTOCOL_VERSION};
-use crate::sched::run_cell;
+use crate::sched::{run_cell, CompileTable, Plan};
 use crate::study::{StudyConfig, StudyError};
-use softerr_cc::{Compiled, Compiler, OptLevel};
-use softerr_isa::Profile;
-use softerr_sim::MachineConfig;
-use softerr_telemetry::{event, Level};
-use softerr_workloads::Workload;
+use softerr_cc::Compiler;
+use softerr_telemetry::{event, span, Level};
 use std::net::TcpStream;
 use std::time::Duration;
 
@@ -63,6 +60,18 @@ pub struct WorkerReport {
     pub abandoned: bool,
 }
 
+/// How a worker reaches the lease board: one request, one response.
+pub(crate) trait Link {
+    fn call(&mut self, request: Request) -> Result<Response, StudyError>;
+}
+
+impl Link for TcpStream {
+    fn call(&mut self, request: Request) -> Result<Response, StudyError> {
+        wire::write_frame(self, &request)?;
+        Ok(wire::read_frame(self)?)
+    }
+}
+
 /// Connects to a coordinator at `addr` (e.g. `127.0.0.1:7077`) and
 /// executes leased cells until the study completes (or an option says to
 /// stop earlier).
@@ -71,8 +80,9 @@ pub struct WorkerReport {
 ///
 /// * [`StudyError::Config`] when the coordinator rejects the handshake,
 ///   answers out of protocol, or serves a config this build cannot
-///   execute (unknown machine, hash disagreement — a worker double-checks
-///   every grant's hash against its own [`crate::cell_config_hash`]),
+///   execute (invalid grid or machine, a grant outside the plan, hash
+///   disagreement — a worker double-checks every grant's hash against its
+///   own [`crate::cell_config_hash`]),
 /// * [`StudyError::Compile`] / [`StudyError::Golden`] when a cell's
 ///   program is broken,
 /// * [`StudyError::Io`] for transport failures.
@@ -81,61 +91,10 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, Stud
     stream.set_nodelay(true).ok();
     let config = hello(&mut stream, &opts.name)?;
     config.validate().map_err(StudyError::Config)?;
-
-    // Compile cache, keyed like the orchestrator's compile units. Linear
-    // scan: a worker sees at most (profiles × workloads × levels) units.
-    let mut units: Vec<((Profile, Workload, OptLevel), Compiled)> = Vec::new();
-    let mut report = WorkerReport {
-        completed: 0,
-        rejected: 0,
-        abandoned: false,
-    };
-    let mut leased_total = 0usize;
-
-    loop {
-        if let Some(max) = opts.max_cells {
-            if report.completed >= max {
-                break;
-            }
-        }
-        wire::write_frame(
-            &mut stream,
-            &Request::Lease {
-                want: opts.capacity.max(1),
-            },
-        )?;
-        match wire::read_frame::<Response>(&mut stream)? {
-            Response::Leases { grants } => {
-                for grant in grants {
-                    leased_total += 1;
-                    if let Some(after) = opts.abandon_after {
-                        if leased_total > after {
-                            // Simulated crash: vanish with the lease.
-                            report.abandoned = true;
-                            event!(
-                                Level::Warn,
-                                "study.sched",
-                                { worker: opts.name.clone(), leased: leased_total },
-                                "worker {} abandoning after {} lease(s) (test hook)",
-                                opts.name,
-                                leased_total - 1
-                            );
-                            return Ok(report);
-                        }
-                    }
-                    execute_grant(&mut stream, &config, &mut units, &grant, &mut report)?;
-                }
-            }
-            Response::Wait { ms } => {
-                std::thread::sleep(Duration::from_millis(ms.clamp(10, 2_000)));
-            }
-            Response::Done => break,
-            other => {
-                return Err(StudyError::Config(format!(
-                    "coordinator answered Lease with {other:?}"
-                )))
-            }
-        }
+    let plan = Plan::new(&config);
+    let report = work(&mut stream, &config, &plan, &plan.compile_table(), opts)?;
+    if report.abandoned {
+        return Ok(report);
     }
     wire::write_frame(&mut stream, &Request::Bye)?;
     // The acknowledgement is best-effort: a coordinator tearing down
@@ -155,14 +114,11 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, Stud
 
 /// Handshake: `Hello` out, `Welcome` (with the study config) back.
 fn hello(stream: &mut TcpStream, name: &str) -> Result<StudyConfig, StudyError> {
-    wire::write_frame(
-        stream,
-        &Request::Hello {
-            version: PROTOCOL_VERSION,
-            worker: name.to_string(),
-        },
-    )?;
-    match wire::read_frame::<Response>(stream)? {
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+        worker: name.to_string(),
+    };
+    match stream.call(hello)? {
         Response::Welcome {
             version,
             config,
@@ -190,79 +146,139 @@ fn hello(stream: &mut TcpStream, name: &str) -> Result<StudyConfig, StudyError> 
     }
 }
 
+/// The one cell-worker loop: leases cells over `link` and executes each
+/// until the board answers `Done` or an option says to stop. `plan` and
+/// `units` are this worker's view of `config`; in-process workers share
+/// one compile table.
+pub(crate) fn work(
+    link: &mut impl Link,
+    config: &StudyConfig,
+    plan: &Plan,
+    units: &CompileTable,
+    opts: &WorkerOptions,
+) -> Result<WorkerReport, StudyError> {
+    let mut report = WorkerReport {
+        completed: 0,
+        rejected: 0,
+        abandoned: false,
+    };
+    let mut leased_total = 0usize;
+    loop {
+        if opts.max_cells.is_some_and(|max| report.completed >= max) {
+            break;
+        }
+        let want = opts.capacity.max(1);
+        match link.call(Request::Lease { want })? {
+            Response::Leases { grants } => {
+                for grant in grants {
+                    leased_total += 1;
+                    if opts.abandon_after.is_some_and(|after| leased_total > after) {
+                        // Simulated crash: vanish with the lease.
+                        report.abandoned = true;
+                        event!(
+                            Level::Warn,
+                            "study.sched",
+                            { worker: opts.name.clone(), leased: leased_total },
+                            "worker {} abandoning after {} lease(s) (test hook)",
+                            opts.name,
+                            leased_total - 1
+                        );
+                        return Ok(report);
+                    }
+                    execute_grant(link, config, plan, units, grant, &mut report)?;
+                }
+            }
+            Response::Wait { ms } => {
+                std::thread::sleep(Duration::from_millis(ms.clamp(10, 2_000)));
+            }
+            Response::Done => break,
+            other => {
+                return Err(StudyError::Config(format!(
+                    "coordinator answered Lease with {other:?}"
+                )))
+            }
+        }
+    }
+    Ok(report)
+}
+
 /// Executes one granted cell and submits the result.
 fn execute_grant(
-    stream: &mut TcpStream,
+    link: &mut impl Link,
     config: &StudyConfig,
-    units: &mut Vec<((Profile, Workload, OptLevel), Compiled)>,
-    grant: &LeaseGrant,
+    plan: &Plan,
+    units: &CompileTable,
+    grant: LeaseGrant,
     report: &mut WorkerReport,
 ) -> Result<(), StudyError> {
-    let key = &grant.key;
-    let machine: &MachineConfig = config
-        .machines
-        .iter()
-        .find(|m| m.name == key.machine)
-        .ok_or_else(|| {
-            StudyError::Config(format!(
-                "grant names machine {:?} which is not in the served config",
-                key.machine
-            ))
-        })?;
-    // Defend against a confused (or hostile) coordinator: the lease's
-    // hash must match what this build derives from the served config, or
+    let LeaseGrant {
+        lease, key, hash, ..
+    } = grant;
+    // Defend against a confused (or hostile) coordinator: the grant must
+    // name a planned cell under the hash this build derives for it, or
     // the executed cell would be stored under a key it does not answer to.
-    let expected = crate::store::cell_config_hash(config, machine, key.workload, key.level);
-    if expected != grant.hash {
+    let cell = plan.cells.iter().find(|c| c.key == key).ok_or_else(|| {
+        StudyError::Config(format!(
+            "grant names {key}, which is not a cell of the served config"
+        ))
+    })?;
+    if cell.hash != hash {
         return Err(StudyError::Config(format!(
-            "lease hash {} disagrees with locally derived {expected} for {key} \
+            "lease hash {hash} disagrees with locally derived {} for {key} \
              (version or config skew between worker and coordinator)",
-            grant.hash
+            cell.hash
         )));
     }
-    let unit_key = (machine.profile, key.workload, key.level);
-    if !units.iter().any(|(k, _)| *k == unit_key) {
-        let compiled = Compiler::new(machine.profile, key.level)
-            .compile(&key.workload.source(config.scale))
-            .map_err(|e| StudyError::Compile(format!("{} at {}: {e}", key.workload, key.level)))?;
-        units.push((unit_key, compiled));
-    }
-    let compiled = units
-        .iter()
-        .find_map(|(k, c)| (*k == unit_key).then_some(c))
-        .expect("just inserted");
+    let machine = &config.machines[cell.machine];
+    let mut cell_sp = span("cell");
+    cell_sp.record("machine", key.machine.clone());
+    cell_sp.record("workload", key.workload.to_string());
+    cell_sp.record("level", key.level.to_string());
+    cell_sp.record("hit", false);
+    let compiled = {
+        // Also covers waiting on another worker's in-flight compile of
+        // the same unit.
+        let _sp = span("cell.compile");
+        units[cell.unit].get_or_init(|| {
+            Compiler::new(machine.profile, key.level)
+                .compile(&key.workload.source(config.scale))
+                .map_err(|e| format!("{} at {}: {e}", key.workload, key.level))
+        })
+    };
+    let compiled = compiled
+        .as_ref()
+        .map_err(|e| StudyError::Compile(e.clone()))?;
+    let mut exec_sp = span("cell.execute");
     let result = run_cell(config, machine, compiled).map_err(|e| {
         StudyError::Golden(format!(
             "{} at {} on {}: {e}",
             key.workload, key.level, key.machine
         ))
     })?;
-    wire::write_frame(
-        stream,
-        &Request::Submit {
-            lease: grant.lease,
-            hash: grant.hash.clone(),
-            key: key.clone(),
-            result,
-        },
-    )?;
-    match wire::read_frame::<Response>(stream)? {
-        Response::Accepted { .. } => {
-            report.completed += 1;
-            Ok(())
-        }
+    exec_sp.record("campaigns", config.structures.len() as u64);
+    drop(exec_sp);
+    let cell_name = key.to_string();
+    match link.call(Request::Submit {
+        lease,
+        hash,
+        key,
+        result,
+    })? {
+        Response::Accepted { .. } => report.completed += 1,
         Response::Rejected { reason, .. } => {
             report.rejected += 1;
             event!(
                 Level::Warn,
                 "study.sched",
-                { cell: key.to_string(), reason: reason.clone() },
-                "coordinator rejected {key}: {reason}"
+                { cell: cell_name.clone(), reason: reason.clone() },
+                "coordinator rejected {cell_name}: {reason}"
             );
-            Ok(())
         }
-        other => Err(StudyError::Config(format!(
-            "coordinator answered Submit with {other:?}"
-        ))),
+        other => {
+            return Err(StudyError::Config(format!(
+                "coordinator answered Submit with {other:?}"
+            )))
+        }
     }
+    Ok(())
 }

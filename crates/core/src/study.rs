@@ -101,11 +101,12 @@ impl StudyConfig {
     }
 
     /// Checks the configuration for degenerate values: every grid axis
-    /// must be non-empty, `threads` non-zero, and the sampling plan
+    /// must be non-empty, `threads` non-zero, the sampling plan
     /// self-consistent (see [`SamplingPlan::validate`] — a margin target
     /// outside `(0, 1)` or an importance sampler combined with
     /// `prune = verify` is rejected here rather than surfacing as a
-    /// confusing downstream failure).
+    /// confusing downstream failure), and every machine's caches runnable
+    /// (see [`MachineConfig::validate`]).
     ///
     /// # Errors
     ///
@@ -129,7 +130,7 @@ impl StudyConfig {
             );
         }
         self.plan.validate()?;
-        Ok(())
+        self.machines.iter().try_for_each(MachineConfig::validate)
     }
 }
 
@@ -272,7 +273,8 @@ impl CellResult {
 /// Errors raised while running a study.
 #[derive(Debug)]
 pub enum StudyError {
-    /// The configuration is degenerate (empty grid axis, zero threads).
+    /// The configuration is degenerate (empty grid axis, zero threads, a
+    /// cache geometry the simulator cannot run).
     Config(String),
     /// A workload failed to compile (compiler or workload bug).
     Compile(String),

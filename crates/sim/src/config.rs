@@ -161,6 +161,52 @@ impl MachineConfig {
     pub fn paper_machines() -> Vec<MachineConfig> {
         vec![MachineConfig::cortex_a15(), MachineConfig::cortex_a72()]
     }
+
+    /// Checks that the memory system can run these cache geometries: every
+    /// level has at least one way, a power-of-two line size of at least 8
+    /// bytes, a power-of-two set count and exactly `sets × ways ×
+    /// line_bytes` bytes; and all levels share one line size, since L1 and
+    /// L2 move whole lines between each other.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the machine, the level and the offending sizes.
+    pub fn validate(&self) -> Result<(), String> {
+        let name = &self.name;
+        for (level, g) in [("l1i", &self.l1i), ("l1d", &self.l1d), ("l2", &self.l2)] {
+            // Aligned accesses of up to 8 bytes never straddle such lines.
+            if !g.line_bytes.is_power_of_two() || g.line_bytes < 8 {
+                return Err(format!(
+                    "{name}: {level} line size {} B is not a power of two of at least 8 B",
+                    g.line_bytes
+                ));
+            }
+            if g.ways == 0 {
+                return Err(format!("{name}: {level} has 0 ways"));
+            }
+            let sets = g
+                .line_bytes
+                .checked_mul(g.ways as u64)
+                .map(|way| g.size_bytes / way);
+            if !sets.is_some_and(|s| {
+                s.is_power_of_two() && s * g.ways as u64 * g.line_bytes == g.size_bytes
+            }) {
+                return Err(format!(
+                    "{name}: {level} of {} B with {} ways of {} B lines is not a power-of-two \
+                     number of whole sets",
+                    g.size_bytes, g.ways, g.line_bytes
+                ));
+            }
+        }
+        if self.l1i.line_bytes != self.l2.line_bytes || self.l1d.line_bytes != self.l2.line_bytes {
+            return Err(format!(
+                "{name}: line sizes differ across levels (l1i {} B, l1d {} B, l2 {} B); \
+                 L1 and L2 exchange whole lines, so they must be equal",
+                self.l1i.line_bytes, self.l1d.line_bytes, self.l2.line_bytes
+            ));
+        }
+        Ok(())
+    }
 }
 
 #[cfg(test)]
@@ -201,5 +247,34 @@ mod tests {
         assert_eq!(a72.rob_entries, 128);
         assert_eq!(a72.l2.size_bytes, 2 * 1024 * 1024);
         assert!(a72.raw_fit_per_bit < a15.raw_fit_per_bit);
+    }
+
+    #[test]
+    fn presets_validate_and_unrunnable_geometries_do_not() {
+        for machine in MachineConfig::paper_machines() {
+            assert_eq!(machine.validate(), Ok(()), "{}", machine.name);
+        }
+        // L1 and L2 copy whole lines into each other.
+        let mut m = MachineConfig::cortex_a15();
+        m.l2.line_bytes = 128;
+        let err = m.validate().unwrap_err();
+        assert!(err.contains("64 B") && err.contains("128 B"), "{err}");
+        let broken: [fn(&mut CacheGeometry); 5] = [
+            |g| g.line_bytes = 48,
+            |g| g.line_bytes = 4,
+            |g| g.ways = 0,
+            |g| g.size_bytes += 64,
+            |g| g.size_bytes = 3 * 64 * 2,
+        ];
+        for (i, breaks) in broken.iter().enumerate() {
+            let mut m = MachineConfig::cortex_a15();
+            breaks(&mut m.l1d);
+            assert!(m.validate().unwrap_err().contains("l1d"), "case {i}");
+        }
+        // Sizes a hostile peer might send must not overflow the check.
+        let mut m = MachineConfig::cortex_a72();
+        m.l2.line_bytes = 1 << 62;
+        m.l2.ways = usize::MAX;
+        assert!(m.validate().is_err());
     }
 }

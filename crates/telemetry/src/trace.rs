@@ -257,6 +257,15 @@ impl Span {
     pub fn is_armed(&self) -> bool {
         self.armed
     }
+
+    /// Ends the span without recording it; spans entered inside it stay
+    /// recorded. For a region whose kind is known only once it has run.
+    pub fn discard(mut self) {
+        if self.armed {
+            DEPTH.with(|d| d.set(d.get().saturating_sub(1)));
+            self.armed = false;
+        }
+    }
 }
 
 impl Drop for Span {

@@ -27,8 +27,7 @@ bench-injection:
 
 # Sweep orchestration: run a quick study cold (populating the result
 # store), then warm, and assert the warm pass was entirely store-served
-# (the grep rejects a warm run that executed even one campaign). Also
-# refreshes BENCH_study_sweep.json (serial vs cell-parallel vs warm).
+# (the grep rejects a warm run that executed even one campaign).
 sweep:
     rm -rf target/softerr-store-smoke
     cargo run --release -p softerr-bench --bin repro -- fig5 \
@@ -36,7 +35,6 @@ sweep:
     cargo run --release -p softerr-bench --bin repro -- fig5 \
         --scale quick --jobs 0 --results target/softerr-store-smoke 2>&1 \
         | grep "all 64 cells served from result store (0 campaigns executed)"
-    cargo bench -p softerr-bench --bench study_sweep
 
 # Forensics smoke: a small recorded RegFile campaign (JSONL records +
 # progress + forensic tables + golden-run counters) into target/.

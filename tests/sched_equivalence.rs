@@ -9,12 +9,14 @@
 //! 2. A budgeted sweep that stops early ([`StudyError::Incomplete`]) must
 //!    resume on re-run: cells persisted before the interruption are served
 //!    from the result store (hit counters prove they did not re-execute),
-//!    and the final results equal an uninterrupted run's.
+//!    and the final results equal an uninterrupted run's. Every cell
+//!    reports progress exactly once, store-served ones marked as such.
 
 use proptest::prelude::*;
 use softerr::{
     OptLevel, Orchestrator, ResultStore, SamplingPlan, Structure, StudyConfig, StudyError, Workload,
 };
+use std::sync::Mutex;
 
 /// A grid small enough to property-test: both paper machines, one
 /// workload, two levels, three contrasting structures.
@@ -65,13 +67,21 @@ fn budgeted_sweep_resumes_without_reexecuting_completed_cells() {
     let uninterrupted = Orchestrator::new(cfg.clone()).run().expect("baseline");
 
     // First invocation: budget covers only part of the grid, so the sweep
-    // stops early — but everything it measured is already on disk.
+    // stops early — but everything it measured is already on disk. Three
+    // workers race for cells; the budget still holds.
     let store = temp_store("resume");
     let budget = 1;
+    let progress = Progress::default();
     let first = Orchestrator::new(cfg.clone())
         .store(store)
+        .cell_workers(3)
         .cell_budget(budget)
-        .execute(&|_| {});
+        .execute(&|m| progress.push(m));
+    assert_eq!(
+        progress.take(),
+        (budget, 0),
+        "one message per executed cell"
+    );
     let store = match first {
         Err(StudyError::Incomplete {
             completed,
@@ -94,7 +104,14 @@ fn budgeted_sweep_resumes_without_reexecuting_completed_cells() {
     // Second invocation: same config, same store, no budget. The cells
     // from the first run must be served from the store, not re-executed.
     let resumed = Orchestrator::new(cfg.clone()).store(store);
-    let report = resumed.execute(&|_| {}).expect("resumed study completes");
+    let report = resumed
+        .execute(&|m| progress.push(m))
+        .expect("resumed study completes");
+    assert_eq!(
+        progress.take(),
+        (total, budget),
+        "one message per cell, ` (store)` on exactly the store-served ones"
+    );
     assert_eq!(
         report.store_hits, budget,
         "every previously-completed cell came from the store"
@@ -112,8 +129,9 @@ fn budgeted_sweep_resumes_without_reexecuting_completed_cells() {
     let warm = Orchestrator::new(cfg)
         .store(temp_store_reopen("resume"))
         .cell_workers(3)
-        .execute(&|_| {})
+        .execute(&|m| progress.push(m))
         .expect("warm study");
+    assert_eq!(progress.take(), (total, total));
     assert_eq!(warm.executed, 0, "a warm re-run executes no campaigns");
     assert_eq!(warm.store_hits, total);
     assert_eq!(warm.results, uninterrupted);
@@ -122,6 +140,24 @@ fn budgeted_sweep_resumes_without_reexecuting_completed_cells() {
         std::env::temp_dir().join(format!("softerr-sched-test-resume-{}", std::process::id())),
     )
     .ok();
+}
+
+/// Progress messages received, for checking that every cell reports
+/// exactly once.
+#[derive(Default)]
+struct Progress(Mutex<Vec<String>>);
+
+impl Progress {
+    fn push(&self, message: &str) {
+        self.0.lock().unwrap().push(message.to_string());
+    }
+
+    /// Drains the messages: (how many, how many marked ` (store)`).
+    fn take(&self) -> (usize, usize) {
+        let messages = std::mem::take(&mut *self.0.lock().unwrap());
+        let stored = messages.iter().filter(|m| m.ends_with(" (store)")).count();
+        (messages.len(), stored)
+    }
 }
 
 /// Reopens the tagged store without wiping it (fresh counters, same disk).

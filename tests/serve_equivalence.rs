@@ -9,7 +9,7 @@
 use softerr::serve::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use softerr::{
     cell_config_hash, CellKey, Coordinator, OptLevel, Orchestrator, ResultStore, SamplingPlan,
-    Structure, StudyConfig, SweepReport, WorkerOptions, Workload,
+    Structure, StudyConfig, StudyError, StudyResults, SweepReport, WorkerOptions, Workload,
 };
 use std::net::{TcpListener, TcpStream};
 use std::path::{Path, PathBuf};
@@ -70,20 +70,18 @@ fn distributed_run(
     })
 }
 
-/// Byte-compares every planned cell file between two stores.
-fn assert_stores_bit_identical(cfg: &StudyConfig, a: &Path, b: &Path) {
-    for machine in &cfg.machines {
-        for &workload in &cfg.workloads {
-            for &level in &cfg.levels {
-                let hash = cell_config_hash(cfg, machine, workload, level);
-                let name = format!("cells/{hash}.json");
-                let left = std::fs::read(a.join(&name))
-                    .unwrap_or_else(|e| panic!("{} missing {name}: {e}", a.display()));
-                let right = std::fs::read(b.join(&name))
-                    .unwrap_or_else(|e| panic!("{} missing {name}: {e}", b.display()));
-                assert_eq!(left, right, "store cell {name} differs between runs");
-            }
-        }
+/// Byte-compares the file of every cell of the serial run between two
+/// stores.
+fn assert_stores_bit_identical(serial: &StudyResults, a: &Path, b: &Path) {
+    for (key, _) in &serial.cells {
+        let machine = serial.machine(&key.machine).expect("planned machine");
+        let hash = cell_config_hash(&serial.config, machine, key.workload, key.level);
+        let name = format!("cells/{hash}.json");
+        let left = std::fs::read(a.join(&name))
+            .unwrap_or_else(|e| panic!("{} missing {name}: {e}", a.display()));
+        let right = std::fs::read(b.join(&name))
+            .unwrap_or_else(|e| panic!("{} missing {name}: {e}", b.display()));
+        assert_eq!(left, right, "store cell {name} differs between runs");
     }
 }
 
@@ -123,7 +121,7 @@ fn coordinator_with_two_workers_matches_serial_bit_for_bit() {
         "the two workers between them executed every cell exactly once"
     );
     assert_eq!(reports.iter().map(|r| r.rejected).sum::<usize>(), 0);
-    assert_stores_bit_identical(&cfg, &serial_dir, &dist_dir);
+    assert_stores_bit_identical(&serial.results, &serial_dir, &dist_dir);
 
     // A second distributed run over the same store is served entirely
     // from it: the coordinator answers from the store and finishes
@@ -186,7 +184,7 @@ fn killed_worker_cells_are_released_and_completed() {
     );
     assert_eq!(dist.executed, dist.cells, "no cell was lost or doubled");
     assert_eq!(serial.results, dist.results);
-    assert_stores_bit_identical(&cfg, &serial_dir, &dist_dir);
+    assert_stores_bit_identical(&serial.results, &serial_dir, &dist_dir);
     // Exactly one file per cell: the crash left neither litter nor dupes.
     assert_eq!(
         std::fs::read_dir(dist_dir.join("cells")).unwrap().count(),
@@ -293,4 +291,54 @@ fn forged_submissions_are_rejected_and_honest_workers_prevail() {
     // The forgeries never reached the store: one write per real cell.
     assert_eq!(dist.store_writes as usize, dist.cells);
     std::fs::remove_dir_all(&dist_dir).ok();
+}
+
+#[test]
+fn a_served_machine_the_simulator_cannot_run_is_a_config_error() {
+    // A hand-rolled coordinator welcomes the worker into a study whose A15
+    // has 128-byte L2 lines under 64-byte L1 lines: the memory system
+    // would panic at the first fill, so the worker must refuse the study.
+    let mut cfg = tiny_config(80);
+    cfg.machines[0].l2.line_bytes = 128;
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
+    let addr = listener.local_addr().expect("listener addr").to_string();
+    let outcome = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let (mut stream, _) = listener.accept().expect("worker connects");
+            match read_frame::<Request>(&mut stream).expect("hello") {
+                Request::Hello { .. } => {}
+                other => panic!("expected Hello, got {other:?}"),
+            }
+            let welcome = Response::Welcome {
+                version: PROTOCOL_VERSION,
+                cells: 8,
+                config: cfg.clone(),
+            };
+            write_frame(&mut stream, &welcome).expect("welcome");
+            // Should the worker ask for work anyway, grant it the first cell.
+            if let Ok(Request::Lease { .. }) = read_frame::<Request>(&mut stream) {
+                let hash =
+                    cell_config_hash(&cfg, &cfg.machines[0], cfg.workloads[0], cfg.levels[0]);
+                let grants = vec![softerr::serve::LeaseGrant {
+                    lease: 0,
+                    key: CellKey {
+                        machine: cfg.machines[0].name.clone(),
+                        workload: cfg.workloads[0],
+                        level: cfg.levels[0],
+                    },
+                    hash,
+                    deadline_ms: 60_000,
+                }];
+                let _ = write_frame(&mut stream, &Response::Leases { grants });
+                let _ = read_frame::<Request>(&mut stream);
+            }
+        });
+        softerr::run_worker(&addr, &WorkerOptions::default())
+    });
+    match outcome {
+        Err(StudyError::Config(msg)) => {
+            assert!(msg.contains("64 B") && msg.contains("128 B"), "{msg}")
+        }
+        other => panic!("expected a Config error, got {other:?}"),
+    }
 }

@@ -4,9 +4,9 @@
 //!    with tracing armed must produce exactly the classes, per-fault
 //!    records, and aggregate counts of an untraced run, on both paper
 //!    machines — and a traced study must persist byte-identical result
-//!    store files. Recording wall-clock spans reads the clock and a
+//!    store files, with one profiler cell row per cell. Recording wall-clock spans reads the clock and a
 //!    per-thread ring buffer; it must never touch engine state.
-//! 2. **Well-nested per thread.** Under the work-stealing cell pool (2
+//! 2. **Well-nested per thread.** Under the in-process cell workers (2
 //!    and 5 workers, property-tested over seeds) every thread's spans
 //!    form a proper nesting: any two either nest (with strictly greater
 //!    depth inside) or are disjoint in time. The profiler's self-time
@@ -104,8 +104,15 @@ fn traced_studies_persist_byte_identical_store_files() {
         let _guard = TRACING.lock().unwrap_or_else(|e| e.into_inner());
         run_into(&off_dir)
     };
-    let (on, _trace) = with_tracing(|| run_into(&on_dir));
+    let (on, trace) = with_tracing(|| run_into(&on_dir));
     assert_eq!(off, on, "study results diverged under tracing");
+    // One `cell` span per cell, executed ones with their stages; a warm
+    // re-run shows each as a store hit with its lookup.
+    let cells = on.cells.len();
+    assert_eq!(cell_rows(&trace), vec![("miss".to_string(), true); cells]);
+    let (warm, trace) = with_tracing(|| run_into(&on_dir));
+    assert_eq!(warm, on);
+    assert_eq!(cell_rows(&trace), vec![("hit".to_string(), true); cells]);
     // The stores must hold the same cell files with the same bytes: the
     // hash keys ignore tracing, and the payloads are tracing-independent.
     let cells = |root: &std::path::Path| -> Vec<(String, Vec<u8>)> {
@@ -129,6 +136,26 @@ fn traced_studies_persist_byte_identical_store_files() {
     );
     std::fs::remove_dir_all(&off_dir).ok();
     std::fs::remove_dir_all(&on_dir).ok();
+}
+
+/// The `hit` column of each `cell` row of the profiler's cell table, and
+/// whether the row's stages are the ones its kind runs: a lookup for a
+/// hit; compile, execute and store write for a miss.
+fn cell_rows(trace: &Trace) -> Vec<(String, bool)> {
+    let csv = softerr::profile::cell_table(trace).to_csv();
+    csv.lines()
+        .skip(1)
+        .map(|line| {
+            let cols: Vec<&str> = line.split(',').collect();
+            let ms: Vec<f64> = cols[2..6].iter().map(|c| c.parse().unwrap()).collect();
+            let stages = if cols[1] == "hit" {
+                ms[0] > 0.0 && ms[1..].iter().all(|&m| m == 0.0)
+            } else {
+                ms[1..].iter().all(|&m| m > 0.0)
+            };
+            (cols[1].to_string(), stages)
+        })
+        .collect()
 }
 
 /// Any two spans on one thread must nest (inner strictly deeper) or be
