@@ -202,6 +202,9 @@ impl ConnCtx<'_> {
     /// the connection; the study is unharmed because its cells return to
     /// `Pending`.
     fn handle(&self, mut stream: TcpStream) {
+        // Every reply is one small frame the worker blocks on: send it
+        // now rather than hold it for the ACK of the previous segment.
+        let _ = stream.set_nodelay(true);
         // A peer that holds leases but goes silent for two lease periods
         // is dead; its cells are reclaimable anyway, so stop waiting.
         let _ = stream.set_read_timeout(Some(Duration::from_millis(

@@ -27,6 +27,8 @@ mod wire;
 mod worker;
 
 pub use coordinator::Coordinator;
-pub use wire::{read_frame, write_frame, LeaseGrant, Request, Response, PROTOCOL_VERSION};
+pub use wire::{
+    read_frame, write_frame, LeaseGrant, Request, Response, MAX_FRAME, PROTOCOL_VERSION,
+};
 pub use worker::{run_worker, WorkerOptions, WorkerReport};
 pub(crate) use worker::{work, Link};

@@ -139,7 +139,10 @@ pub enum Response {
     Bye,
 }
 
-/// Serializes `msg` as one length-prefixed JSON frame.
+/// Serializes `msg` as one length-prefixed JSON frame, handed to the
+/// writer in a single `write_all`: a length prefix written on its own
+/// would leave the payload behind Nagle's algorithm until the peer's
+/// delayed ACK, on every round trip.
 ///
 /// # Errors
 ///
@@ -154,8 +157,10 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result
             format!("frame of {} bytes exceeds MAX_FRAME", json.len()),
         ));
     }
-    w.write_all(&(json.len() as u32).to_be_bytes())?;
-    w.write_all(json.as_bytes())?;
+    let mut frame = Vec::with_capacity(4 + json.len());
+    frame.extend_from_slice(&(json.len() as u32).to_be_bytes());
+    frame.extend_from_slice(json.as_bytes());
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -272,6 +277,37 @@ mod tests {
             }
             other => panic!("expected Welcome, got {other:?}"),
         }
+    }
+
+    /// Counts `write` calls; accepts every byte of each.
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> std::io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        let mut w = CountingWriter {
+            writes: 0,
+            bytes: Vec::new(),
+        };
+        let msg = Request::Lease { want: 2 };
+        write_frame(&mut w, &msg).unwrap();
+        assert_eq!(w.writes, 1, "length prefix and payload go out together");
+        let back: Request = read_frame(&mut w.bytes.as_slice()).unwrap();
+        assert_eq!(back, msg);
     }
 
     #[test]

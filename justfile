@@ -5,10 +5,12 @@ test:
     cargo build --release
     cargo test -q --release
 
-# Lints: clippy over every target, warnings are errors.
+# Lints: clippy over every target and rustdoc over every crate, warnings
+# are errors.
 lint:
     cargo clippy --all-targets -- -D warnings
     cargo fmt --check
+    RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
 
 # IR lint: compile all 8 workloads at O0-O3 for both profiles with the
 # compiler's IR verifier re-run after every pass (the `verify-ir` feature).
