@@ -409,7 +409,7 @@ fn main() {
     let compiled = Compiler::new(args.machine.profile, args.level)
         .compile(&args.workload.source(args.scale))
         .expect("workload must compile");
-    let injector = Injector::new(&args.machine, &compiled.program).expect("golden run");
+    let injector = Injector::for_plan(&args.machine, &compiled.program, &plan).expect("golden run");
     let golden = injector.golden();
     println!("manifest: {manifest}");
     println!(

@@ -59,7 +59,9 @@ pub(crate) fn run_cell(
     machine: &MachineConfig,
     compiled: &Compiled,
 ) -> Result<CellResult, String> {
-    let injector = Injector::new(machine, &compiled.program).map_err(|e| e.to_string())?;
+    // One golden run, recording liveness too when the plan reads it.
+    let injector =
+        Injector::for_plan(machine, &compiled.program, &cfg.plan).map_err(|e| e.to_string())?;
     let campaign_cfg = CampaignConfig {
         plan: cfg.plan,
         seed: cfg.seed,

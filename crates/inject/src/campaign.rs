@@ -327,42 +327,119 @@ pub struct Injector<'a> {
     /// construction: machine geometry, not simulation state, so no caller
     /// should ever pay a full `Sim` allocation just to read a size.
     bit_counts: [u64; Structure::ALL.len()],
-    /// Golden-run liveness windows, built lazily by one extra instrumented
-    /// golden execution the first time a campaign prunes (or verifies).
+    /// Golden-run liveness windows: recorded by the golden run itself when
+    /// the injector was built for a plan that reads them
+    /// ([`Injector::for_plan`]), else built lazily by one extra
+    /// instrumented golden execution the first time a campaign prunes (or
+    /// verifies).
     liveness: OnceLock<LivenessMap>,
+    /// Per-structure vulnerable-site counts (the importance sampler's
+    /// population), counted once on first use.
+    vulnerable_sites: [OnceLock<u64>; Structure::ALL.len()],
+}
+
+/// What one fault-free execution of the program yields.
+struct GoldenRun {
+    golden: Golden,
+    bit_counts: [u64; Structure::ALL.len()],
+    /// The run's liveness map, when it was recorded.
+    liveness: Option<LivenessMap>,
+}
+
+/// Position of `structure` in [`Structure::ALL`], the index of every
+/// per-structure array an [`Injector`] keeps.
+fn structure_index(structure: Structure) -> usize {
+    Structure::ALL
+        .iter()
+        .position(|&s| s == structure)
+        .expect("Structure::ALL is exhaustive")
+}
+
+/// Runs the fault-free program to its halt under a `stage` span. With
+/// `liveness` set, the run records the liveness map, its register-file
+/// windows bounded by the program's static demand masks (attached under a
+/// nested `campaign.masks` span); without it, the simulator carries no
+/// instrumentation at all.
+fn golden_run(
+    cfg: &MachineConfig,
+    program: &Program,
+    liveness: bool,
+    stage: &'static str,
+) -> Result<GoldenRun, GoldenError> {
+    let mut sp = span(stage);
+    let mut sim = Sim::new(cfg, program);
+    let bit_counts = Structure::ALL.map(|s| sim.bit_count(s));
+    if liveness {
+        sim.enable_liveness();
+        let _mask_sp = span("campaign.masks");
+        sim.attach_static_masks(program);
+    }
+    match sim.run(4_000_000_000) {
+        SimOutcome::Halted {
+            cycles,
+            retired,
+            output,
+        } => {
+            sp.record("cycles", cycles);
+            Ok(GoldenRun {
+                golden: Golden {
+                    cycles,
+                    retired,
+                    output,
+                },
+                bit_counts,
+                liveness: liveness.then(|| {
+                    sim.liveness_map()
+                        .expect("liveness instrumentation was enabled")
+                }),
+            })
+        }
+        other => Err(GoldenError(format!("{other:?}"))),
+    }
 }
 
 impl<'a> Injector<'a> {
-    /// Runs the golden execution and prepares the injector.
+    /// Runs the golden execution and prepares the injector. The golden run
+    /// records no liveness; [`Injector::liveness`] builds it on demand.
     ///
     /// # Errors
     ///
     /// [`GoldenError`] if the fault-free program does not halt cleanly.
     pub fn new(cfg: &'a MachineConfig, program: &'a Program) -> Result<Injector<'a>, GoldenError> {
-        let mut sp = span("campaign.golden");
-        let mut sim = Sim::new(cfg, program);
-        let bit_counts = Structure::ALL.map(|s| sim.bit_count(s));
-        match sim.run(4_000_000_000) {
-            SimOutcome::Halted {
-                cycles,
-                retired,
-                output,
-            } => {
-                sp.record("cycles", cycles);
-                Ok(Injector {
-                    cfg,
-                    program,
-                    golden: Golden {
-                        cycles,
-                        retired,
-                        output,
-                    },
-                    bit_counts,
-                    liveness: OnceLock::new(),
-                })
-            }
-            other => Err(GoldenError(format!("{other:?}"))),
-        }
+        Injector::with_golden_run(cfg, program, false)
+    }
+
+    /// Like [`Injector::new`], but when campaigns under `plan` read the
+    /// golden run's liveness ([`SamplingPlan::reads_liveness`]) the one
+    /// golden run records it as well, instead of [`Injector::liveness`]
+    /// running the program a second time. Equal to [`Injector::new`]
+    /// followed by [`Injector::liveness`] in every answer.
+    ///
+    /// # Errors
+    ///
+    /// [`GoldenError`] if the fault-free program does not halt cleanly.
+    pub fn for_plan(
+        cfg: &'a MachineConfig,
+        program: &'a Program,
+        plan: &SamplingPlan,
+    ) -> Result<Injector<'a>, GoldenError> {
+        Injector::with_golden_run(cfg, program, plan.reads_liveness())
+    }
+
+    fn with_golden_run(
+        cfg: &'a MachineConfig,
+        program: &'a Program,
+        liveness: bool,
+    ) -> Result<Injector<'a>, GoldenError> {
+        let run = golden_run(cfg, program, liveness, "campaign.golden")?;
+        Ok(Injector {
+            cfg,
+            program,
+            golden: run.golden,
+            bit_counts: run.bit_counts,
+            liveness: run.liveness.map_or_else(OnceLock::new, OnceLock::from),
+            vulnerable_sites: [const { OnceLock::new() }; Structure::ALL.len()],
+        })
     }
 
     /// The golden reference run.
@@ -375,27 +452,47 @@ impl<'a> Injector<'a> {
     /// which dominated the pruning filter once COW forking made the convoy
     /// itself cheap).
     pub fn bit_count(&self, structure: Structure) -> u64 {
-        self.bit_counts[Structure::ALL
-            .iter()
-            .position(|&s| s == structure)
-            .expect("Structure::ALL is exhaustive")]
+        self.bit_counts[structure_index(structure)]
     }
 
-    /// Per-structure live windows of the golden run, built on first use by
-    /// one extra instrumented golden execution and cached for the
-    /// injector's lifetime.
+    /// Per-structure live windows of the golden run: recorded by the
+    /// golden run itself when the injector was built with
+    /// [`Injector::for_plan`] for a plan that reads them, else built on
+    /// first use by one extra instrumented golden execution, and cached for
+    /// the injector's lifetime.
+    ///
+    /// # Panics
+    ///
+    /// If the instrumented execution does not repeat the golden run (the
+    /// instrumentation must only observe).
     pub fn liveness(&self) -> &LivenessMap {
         self.liveness.get_or_init(|| {
-            let _sp = span("campaign.liveness");
-            let mut sim = Sim::new(self.cfg, self.program);
-            sim.enable_liveness();
-            {
-                let _mask_sp = span("campaign.masks");
-                sim.attach_static_masks(self.program);
+            let run = golden_run(self.cfg, self.program, true, "campaign.liveness")
+                .unwrap_or_else(|e| panic!("instrumented golden run: {e}"));
+            assert_eq!(
+                run.golden, self.golden,
+                "the instrumented golden run must halt like the golden run"
+            );
+            run.liveness.expect("liveness was recorded")
+        })
+    }
+
+    /// Number of `(bit, cycle)` sites of `structure` the golden run's
+    /// liveness cannot prove masked (the importance sampler's population),
+    /// counted once per structure and cached. Structures the map does not
+    /// track count every site.
+    pub(crate) fn vulnerable_sites(&self, structure: Structure) -> u64 {
+        *self.vulnerable_sites[structure_index(structure)].get_or_init(|| {
+            let bits = self.bit_count(structure);
+            if bits == 0 {
+                return 0;
             }
-            let _ = sim.run(4_000_000_000);
-            sim.liveness_map()
-                .expect("liveness instrumentation was enabled")
+            let cycles = self.golden.cycles.max(1);
+            let total = bits.saturating_mul(cycles);
+            self.liveness()
+                .vulnerable_site_count(structure, cycles)
+                .unwrap_or(total)
+                .min(total)
         })
     }
 
@@ -624,8 +721,7 @@ impl<'a> Injector<'a> {
         }
         let cycles = self.golden.cycles.max(1);
         let map = self.liveness();
-        let live = crate::sampler::ImportanceSampler.population(self, structure);
-        let n = n.min(live);
+        let n = n.min(self.vulnerable_sites(structure));
         let mut rng =
             SmallRng::seed_from_u64(seed ^ (structure as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15));
         let mut seen: HashSet<(u64, u64)> = HashSet::with_capacity(n as usize);
@@ -2000,6 +2096,35 @@ mod tests {
         let inj = Injector::new(&cfg, &program).unwrap();
         assert_eq!(inj.golden().output, vec![360]);
         assert!(inj.golden().cycles > 0);
+    }
+
+    #[test]
+    fn fused_golden_run_equals_the_golden_run_plus_the_lazy_liveness_run() {
+        use softerr_workloads::{Scale, Workload};
+        let reads = SamplingPlan::fixed(2)
+            .sampler(SamplerKind::Importance)
+            .prune_static(PruneMode::On);
+        assert!(reads.reads_liveness());
+        assert!(!SamplingPlan::fixed(2).reads_liveness());
+        for cfg in MachineConfig::paper_machines() {
+            let program = Compiler::new(cfg.profile, OptLevel::O2)
+                .compile(&Workload::Qsort.source(Scale::Tiny))
+                .unwrap()
+                .program;
+            let plain = Injector::new(&cfg, &program).unwrap();
+            assert!(plain.liveness.get().is_none(), "new records no liveness");
+            let fused = Injector::for_plan(&cfg, &program, &reads).unwrap();
+            assert!(fused.liveness.get().is_some(), "recorded by the golden run");
+            assert_eq!(fused.golden(), plain.golden(), "{}", cfg.name);
+            assert_eq!(fused.bit_counts, plain.bit_counts, "{}", cfg.name);
+            assert!(fused.liveness() == plain.liveness(), "{}: map", cfg.name);
+            for s in Structure::ALL {
+                assert_eq!(fused.vulnerable_sites(s), plain.vulnerable_sites(s));
+            }
+            // A plan that reads no liveness builds none up front.
+            let uniform = Injector::for_plan(&cfg, &program, &SamplingPlan::fixed(2)).unwrap();
+            assert!(uniform.liveness.get().is_none());
+        }
     }
 
     #[test]

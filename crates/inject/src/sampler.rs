@@ -197,6 +197,13 @@ impl SamplingPlan {
         }
     }
 
+    /// Whether campaigns under this plan read the golden run's liveness
+    /// map: the importance sampler draws from it, and liveness or demand
+    /// pruning (`on` or `verify`) queries it.
+    pub fn reads_liveness(&self) -> bool {
+        self.sampler.is_importance() || self.prune.any_on() || self.prune.any_verify()
+    }
+
     /// The margin target, if this plan stops on one.
     pub fn target_margin(&self) -> Option<f64> {
         match self.stop {
@@ -296,8 +303,9 @@ impl Sampler for UniformSampler {
 /// is live the drawn sample is bit-identical to [`UniformSampler`]'s.
 ///
 /// The weight is `vulnerable sites / total sites`, computed exactly by
-/// [`softerr_sim::StructureLiveness::vulnerable_site_count`]; untracked
-/// structures fall back to weight 1.0 (everything conservative-live).
+/// [`softerr_sim::StructureLiveness::vulnerable_site_count`] once per
+/// injector and structure; untracked structures fall back to weight 1.0
+/// (everything conservative-live).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ImportanceSampler;
 
@@ -307,17 +315,7 @@ impl Sampler for ImportanceSampler {
     }
 
     fn population(&self, injector: &Injector<'_>, structure: Structure) -> u64 {
-        let bits = injector.bit_count(structure);
-        if bits == 0 {
-            return 0;
-        }
-        let cycles = injector.golden().cycles.max(1);
-        let total = bits.saturating_mul(cycles);
-        injector
-            .liveness()
-            .vulnerable_site_count(structure, cycles)
-            .unwrap_or(total)
-            .min(total)
+        injector.vulnerable_sites(structure)
     }
 
     fn weight(&self, injector: &Injector<'_>, structure: Structure) -> f64 {

@@ -5,7 +5,7 @@
 use crate::cache::Cache;
 use crate::config::MachineConfig;
 use crate::delta::BitSet;
-use crate::residency::{CacheResidency, LiveWindow};
+use crate::residency::{CacheResidency, WindowTable};
 use softerr_isa::{MemFault, MemFaultKind, Memory, NULL_PAGE};
 
 /// Which L1 a request goes through.
@@ -93,18 +93,12 @@ impl MemorySystem {
         }
     }
 
-    /// Finished `(data, tag)` danger windows of the three cache arrays
-    /// (indices: l1i, l1d, l2), or `None` if residency was never enabled.
-    #[allow(clippy::type_complexity)]
-    pub(crate) fn liveness_windows(
-        &self,
-    ) -> Option<[(Vec<Vec<LiveWindow>>, Vec<Vec<LiveWindow>>); 3]> {
-        let r = self.residency.as_deref()?;
-        Some([
-            r[0].live_windows(),
-            r[1].live_windows(),
-            r[2].live_windows(),
-        ])
+    /// Takes the recorded `(data, tag)` danger windows of the three cache
+    /// arrays (indices: l1i, l1d, l2), or `None` if they were never
+    /// recorded or were already taken.
+    pub(crate) fn take_liveness_windows(&mut self) -> Option<[(WindowTable, WindowTable); 3]> {
+        let [l1i, l1d, l2] = self.residency.as_deref_mut()?.each_mut();
+        Some([l1i.take_windows()?, l1d.take_windows()?, l2.take_windows()?])
     }
 
     /// Advances the residency clock (called once per pipeline cycle).

@@ -24,7 +24,8 @@ use crate::Structure;
 use softerr_isa::{
     decode, eval_alu, eval_branch, AluOp, Instr, MemWidth, Profile, Program, Reg, Trap,
 };
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
+use std::sync::Arc;
 
 /// Terminal state of a simulation.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -142,12 +143,36 @@ pub struct Sim {
     /// Microarchitectural event counters (same observer contract as
     /// `residency`: optional, feedback-free, excluded from `state_eq`).
     counters: Option<Box<CounterState>>,
-    /// Static writeback demand masks by instruction PC, from the
-    /// compiler's bit-level analysis ([`Sim::attach_static_masks`]).
-    /// Observational only: consulted by the residency tracker to tag RF
-    /// danger windows, never fed back into execution; excluded from
-    /// `state_eq` and not inherited by forks.
-    wb_masks: Option<HashMap<u64, u64>>,
+    /// Static writeback demand masks, from the compiler's bit-level
+    /// analysis ([`Sim::attach_static_masks`]). Observational only:
+    /// consulted by the residency tracker to tag RF danger windows, never
+    /// fed back into execution; excluded from `state_eq` and not inherited
+    /// by forks.
+    wb_masks: Option<WbMasks>,
+}
+
+/// Static writeback demand masks, one per instruction from the program's
+/// entry point up to its last annotated one.
+#[derive(Debug, Clone)]
+struct WbMasks {
+    entry: u64,
+    masks: Vec<u64>,
+}
+
+impl WbMasks {
+    /// The demand mask of the instruction at `pc`: `!0` (every bit
+    /// demanded) outside the annotated instructions.
+    fn get(&self, pc: u64) -> u64 {
+        let offset = pc.wrapping_sub(self.entry);
+        if !offset.is_multiple_of(4) {
+            return !0;
+        }
+        usize::try_from(offset / 4)
+            .ok()
+            .and_then(|i| self.masks.get(i))
+            .copied()
+            .unwrap_or(!0)
+    }
 }
 
 /// One [`Sim::state_divergence`] probe: a component name and whether two
@@ -236,16 +261,18 @@ impl Sim {
     /// demanded ([`LivenessMap::is_vulnerable`]). Call alongside
     /// [`Sim::enable_liveness`]; a no-op for programs without annotations.
     pub fn attach_static_masks(&mut self, program: &Program) {
-        if program.wb_masks.is_empty() {
+        let Some(last) = program.wb_masks.iter().map(|&(idx, _)| idx).max() else {
             self.wb_masks = None;
             return;
+        };
+        let mut masks = vec![!0; last as usize + 1];
+        for &(idx, mask) in &program.wb_masks {
+            masks[idx as usize] = mask;
         }
-        let map: HashMap<u64, u64> = program
-            .wb_masks
-            .iter()
-            .map(|&(idx, mask)| (program.entry + 4 * u64::from(idx), mask))
-            .collect();
-        self.wb_masks = Some(map);
+        self.wb_masks = Some(WbMasks {
+            entry: program.entry,
+            masks,
+        });
     }
 
     /// Turns on ACE residency tracking for a golden run: every structure
@@ -329,15 +356,23 @@ impl Sim {
         })
     }
 
-    /// Assembles the per-entry danger windows recorded since
+    /// Moves the per-entry danger windows recorded since
     /// [`Sim::enable_liveness`] into a queryable [`LivenessMap`] (the
     /// campaign prune filter), or `None` if liveness recording was never
-    /// enabled. Callable at any point; still-open entries are closed
-    /// conservatively (see `CoreResidency::live_windows`).
-    pub fn liveness_map(&self) -> Option<LivenessMap> {
-        let core = self.residency.as_deref()?;
-        let cw = core.live_windows();
-        let [l1i, l1d, l2] = self.mem.liveness_windows()?;
+    /// enabled or the windows were already taken. Recording stops: the
+    /// windows move into the map rather than being copied, so call it once,
+    /// at the end of the run (still-open entries are closed conservatively,
+    /// see `CoreResidency::take_windows`). [`Sim::residency_report`] keeps
+    /// working.
+    pub fn liveness_map(&mut self) -> Option<LivenessMap> {
+        let core = self.residency.as_deref_mut()?.take_windows([
+            self.rf.nphys(),
+            self.cfg.rob_entries,
+            self.cfg.iq_entries,
+            self.cfg.lq_entries,
+            self.cfg.sq_entries,
+        ])?;
+        let [l1i, l1d, l2] = self.mem.take_liveness_windows()?;
         let bpe = |bits: u64, entries: usize| {
             if entries == 0 {
                 0
@@ -345,54 +380,51 @@ impl Sim {
                 bits / entries as u64
             }
         };
+        let (rf, lq, sq, iq, rob) = (
+            Arc::new(core.rf),
+            Arc::new(core.lq),
+            Arc::new(core.sq),
+            Arc::new(core.iq),
+            Arc::new(core.rob),
+        );
+        let [(l1i_data, l1i_tag), (l1d_data, l1d_tag), (l2_data, l2_tag)] =
+            [l1i, l1d, l2].map(|(data, tag)| (Arc::new(data), Arc::new(tag)));
+        let lines = [
+            self.mem.l1i.geometry().lines(),
+            self.mem.l1d.geometry().lines(),
+            self.mem.l2.geometry().lines(),
+        ];
         let structures = Structure::ALL
             .iter()
             .map(|&s| {
                 let bits = self.bit_count(s);
-                let (entries, windows, always_live_offset) = match s {
-                    Structure::RegFile => (self.rf.nphys(), cw.rf.clone(), None),
-                    Structure::LoadQueue => (self.cfg.lq_entries, cw.lq.clone(), None),
-                    Structure::StoreQueue => (self.cfg.sq_entries, cw.sq.clone(), None),
-                    Structure::IqSrc => (self.cfg.iq_entries, cw.iq.clone(), None),
+                let (entries, table, always_live_offset) = match s {
+                    Structure::RegFile => (self.rf.nphys(), &rf, None),
+                    Structure::LoadQueue => (self.cfg.lq_entries, &lq, None),
+                    Structure::StoreQueue => (self.cfg.sq_entries, &sq, None),
+                    Structure::IqSrc => (self.cfg.iq_entries, &iq, None),
                     // A flipped-on valid bit (the entry's last bit) makes a
                     // ghost entry out of a free slot, so it is dangerous at
                     // any cycle, occupancy notwithstanding.
                     Structure::IqDest => (
                         self.cfg.iq_entries,
-                        cw.iq.clone(),
+                        &iq,
                         bpe(bits, self.cfg.iq_entries).checked_sub(1),
                     ),
                     Structure::RobPc
                     | Structure::RobDest
                     | Structure::RobSeq
-                    | Structure::RobFlags => (self.cfg.rob_entries, cw.rob.clone(), None),
-                    Structure::L1IData => (self.mem.l1i.geometry().lines(), l1i.0.clone(), None),
-                    Structure::L1DData => (self.mem.l1d.geometry().lines(), l1d.0.clone(), None),
-                    Structure::L2Data => (self.mem.l2.geometry().lines(), l2.0.clone(), None),
+                    | Structure::RobFlags => (self.cfg.rob_entries, &rob, None),
+                    Structure::L1IData => (lines[0], &l1i_data, None),
+                    Structure::L1DData => (lines[1], &l1d_data, None),
+                    Structure::L2Data => (lines[2], &l2_data, None),
                     // Tag arrays: per-line layout is tag|valid|dirty, and a
                     // flipped-on valid bit resurrects a stale line.
-                    Structure::L1ITag => (
-                        self.mem.l1i.geometry().lines(),
-                        l1i.1.clone(),
-                        bpe(bits, self.mem.l1i.geometry().lines()).checked_sub(2),
-                    ),
-                    Structure::L1DTag => (
-                        self.mem.l1d.geometry().lines(),
-                        l1d.1.clone(),
-                        bpe(bits, self.mem.l1d.geometry().lines()).checked_sub(2),
-                    ),
-                    Structure::L2Tag => (
-                        self.mem.l2.geometry().lines(),
-                        l2.1.clone(),
-                        bpe(bits, self.mem.l2.geometry().lines()).checked_sub(2),
-                    ),
+                    Structure::L1ITag => (lines[0], &l1i_tag, bpe(bits, lines[0]).checked_sub(2)),
+                    Structure::L1DTag => (lines[1], &l1d_tag, bpe(bits, lines[1]).checked_sub(2)),
+                    Structure::L2Tag => (lines[2], &l2_tag, bpe(bits, lines[2]).checked_sub(2)),
                 };
-                let sl = StructureLiveness::new(s, bits, entries, always_live_offset, windows);
-                if s == Structure::RegFile {
-                    sl.with_masks(cw.rf_masks.clone())
-                } else {
-                    sl
-                }
+                StructureLiveness::new(s, bits, entries, always_live_offset, Arc::clone(table))
             })
             .collect();
         Some(LivenessMap::new(self.cycle, structures))
@@ -841,7 +873,7 @@ impl Sim {
                     self.sq.pop_head();
                     let cycle = self.cycle;
                     if let Some(t) = self.residency.as_deref_mut() {
-                        t.sq_pop(uop.seq, cycle);
+                        t.sq_pop(h, uop.seq, cycle);
                     }
                 }
                 UopKind::Load => {
@@ -859,7 +891,7 @@ impl Sim {
                     self.lq.pop_head();
                     let cycle = self.cycle;
                     if let Some(t) = self.residency.as_deref_mut() {
-                        t.lq_pop(uop.seq, cycle);
+                        t.lq_pop(h, uop.seq, cycle);
                     }
                 }
                 UopKind::Out => self.output.push(self.profile.mask(uop.result)),
@@ -892,7 +924,7 @@ impl Sim {
             self.rob.pop_head();
             let cycle = self.cycle;
             if let Some(t) = self.residency.as_deref_mut() {
-                t.rob_pop(uop.seq, cycle);
+                t.rob_pop(idx, uop.seq, cycle);
             }
             self.retired += 1;
         }
@@ -922,12 +954,7 @@ impl Sim {
                 let cycle = self.cycle;
                 let pc = uop.pc;
                 if let Some(t) = self.residency.as_deref_mut() {
-                    let mask = self
-                        .wb_masks
-                        .as_ref()
-                        .and_then(|m| m.get(&pc))
-                        .copied()
-                        .unwrap_or(!0);
+                    let mask = self.wb_masks.as_ref().map_or(!0, |m| m.get(pc));
                     t.rf_write(tag, cycle, mask);
                 }
             }
@@ -1226,7 +1253,7 @@ impl Sim {
                 if p.has_src2 {
                     t.rf_read(s2, cycle);
                 }
-                t.iq_remove(p.seq, cycle);
+                t.iq_remove(slot, p.seq, cycle);
             }
             let latency = self.latency_of(p.rob_idx);
             if is_div {

@@ -16,17 +16,21 @@
 //!
 //! * **register file** — written at writeback, read at issue, closed at
 //!   retirement `free` (or when a squash recovery frees the register);
-//! * **ROB / IQ / LSQ entries** — keyed by the uop's global sequence
-//!   number; an entry is live from dispatch to the commit/issue event that
-//!   reads it, and squashed entries are discarded un-ACE;
+//! * **ROB / IQ / LSQ entries** — tracked per slot, tagged with the uop's
+//!   global sequence number; an entry is live from dispatch to the
+//!   commit/issue event that reads it, and squashed entries are discarded
+//!   un-ACE;
 //! * **cache lines** — live from fill to last use for clean lines (the
 //!   eviction never reads them), and from fill to eviction for dirty lines
 //!   (the writeback reads the whole line).
 //!
 //! Beyond the aggregate totals, the trackers can record every closed
-//! interval per entry ([`CoreResidency::set_record_windows`]); the
-//! pipeline assembles those into a [`LivenessMap`], the queryable
-//! structure behind campaign pruning. The map's windows are *danger*
+//! interval per entry ([`CoreResidency::set_record_windows`]): logged in
+//! the order they close, then grouped once, at the end of the run, into
+//! one flat [`WindowTable`] per tracked array, which the pipeline moves
+//! into a [`LivenessMap`], the queryable structure behind campaign
+//! pruning (structures that are fields of the same entries share a
+//! table). The map's windows are *danger*
 //! windows, not ACE windows: they must cover every cycle at which a flip
 //! could still be observed by any read — including squashed-but-occupied
 //! queue entries (cross-checked at commit/issue until the squash) — so
@@ -38,7 +42,8 @@
 
 use crate::regs::{PhysReg, RegisterFile};
 use crate::Structure;
-use std::collections::HashMap;
+use std::ops::Range;
+use std::sync::Arc;
 
 /// One open write→last-read interval.
 #[derive(Debug, Clone, Copy)]
@@ -65,39 +70,239 @@ pub struct LiveWindow {
     pub end: u64,
 }
 
-fn push_window(windows: &mut Vec<Vec<LiveWindow>>, slot: usize, start: u64, end: u64) {
-    if windows.len() <= slot {
-        windows.resize_with(slot + 1, Vec::new);
+/// Counting sort of log positions by entry. Returns per-entry offsets
+/// (`entries + 1` of them, widened to cover every logged entry) and the
+/// log positions grouped by entry, each entry's run in log order and then
+/// stably sorted by `start` where it is not already.
+fn group_by_entry(
+    entries: usize,
+    keys: &[u32],
+    start: impl Fn(usize) -> u64,
+) -> (Vec<u32>, Vec<u32>) {
+    let total = u32::try_from(keys.len()).expect("a liveness log holds fewer than 2^32 windows");
+    let n = keys
+        .iter()
+        .map(|&k| k as usize + 1)
+        .max()
+        .unwrap_or(0)
+        .max(entries);
+    let mut offsets = vec![0u32; n + 1];
+    for &k in keys {
+        offsets[k as usize + 1] += 1;
     }
-    windows[slot].push(LiveWindow { start, end });
+    for e in 0..n {
+        offsets[e + 1] += offsets[e];
+    }
+    debug_assert_eq!(offsets[n], total);
+    let mut next = offsets.clone();
+    let mut order = vec![0u32; keys.len()];
+    for (i, &k) in keys.iter().enumerate() {
+        let at = &mut next[k as usize];
+        order[*at as usize] = i as u32;
+        *at += 1;
+    }
+    for e in 0..n {
+        let run = &mut order[offsets[e] as usize..offsets[e + 1] as usize];
+        if !run.is_sorted_by_key(|&i| start(i as usize)) {
+            run.sort_by_key(|&i| start(i as usize));
+        }
+    }
+    (offsets, order)
 }
 
-fn push_mask(masks: &mut Vec<Vec<u64>>, slot: usize, mask: u64) {
-    if masks.len() <= slot {
-        masks.resize_with(slot + 1, Vec::new);
-    }
-    masks[slot].push(mask);
+/// Per-entry danger windows of one structure in one flat table: entry
+/// `e`'s windows are `windows[offsets[e]..offsets[e + 1]]`, sorted by
+/// start.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub(crate) struct WindowTable {
+    offsets: Vec<u32>,
+    windows: Vec<LiveWindow>,
+    /// Static demand mask of each window, parallel to `windows`: a clear
+    /// bit is provably unobservable for the whole window. `None` when the
+    /// structure carries no static annotations.
+    masks: Option<Vec<u64>>,
 }
 
-/// Finished per-entry danger windows of the core structures.
+impl WindowTable {
+    /// Entries the table covers.
+    fn entries(&self) -> usize {
+        self.offsets.len() - 1
+    }
+
+    /// Positions of one entry's windows, or `None` past the last entry.
+    fn range(&self, entry: usize) -> Option<Range<usize>> {
+        (entry < self.entries())
+            .then(|| self.offsets[entry] as usize..self.offsets[entry + 1] as usize)
+    }
+
+    /// One entry's windows, or `None` past the last entry.
+    fn windows(&self, entry: usize) -> Option<&[LiveWindow]> {
+        self.range(entry).map(|r| &self.windows[r])
+    }
+
+    /// A table from per-entry window lists (and per-entry demand masks,
+    /// where a window beyond its entry's mask list demands every bit),
+    /// covering at least `entries` entries.
+    #[cfg(test)]
+    fn from_lists(
+        entries: usize,
+        lists: Vec<Vec<LiveWindow>>,
+        masks: Option<Vec<Vec<u64>>>,
+    ) -> WindowTable {
+        let mut log = WindowLog {
+            masks: masks.as_ref().map(|_| Vec::new()),
+            ..WindowLog::default()
+        };
+        for (entry, list) in lists.into_iter().enumerate() {
+            for (i, w) in list.into_iter().enumerate() {
+                let mask = masks
+                    .as_ref()
+                    .and_then(|m| m.get(entry))
+                    .and_then(|m| m.get(i))
+                    .copied()
+                    .unwrap_or(!0);
+                log.push_masked(entry, w.start, w.end, mask);
+            }
+        }
+        log.into_table(entries)
+    }
+}
+
+/// Closed windows of one tracked array in the order they closed, each
+/// keyed by its entry; grouped into a [`WindowTable`] once, at the end of
+/// the run.
 #[derive(Debug, Clone, Default)]
+struct WindowLog {
+    entries: Vec<u32>,
+    windows: Vec<LiveWindow>,
+    /// Demand mask of each window, for arrays that carry them.
+    masks: Option<Vec<u64>>,
+}
+
+impl WindowLog {
+    /// An empty log whose windows carry demand masks.
+    fn masked() -> WindowLog {
+        WindowLog {
+            masks: Some(Vec::new()),
+            ..WindowLog::default()
+        }
+    }
+
+    fn push(&mut self, entry: usize, start: u64, end: u64) {
+        self.entries.push(entry as u32);
+        self.windows.push(LiveWindow { start, end });
+    }
+
+    /// Logs a window with its demand mask (dropped if the log carries
+    /// none).
+    fn push_masked(&mut self, entry: usize, start: u64, end: u64, mask: u64) {
+        self.push(entry, start, end);
+        if let Some(masks) = &mut self.masks {
+            masks.push(mask);
+        }
+    }
+
+    fn into_table(self, entries: usize) -> WindowTable {
+        let (offsets, order) = group_by_entry(entries, &self.entries, |i| self.windows[i].start);
+        WindowTable {
+            windows: order.iter().map(|&i| self.windows[i as usize]).collect(),
+            masks: self
+                .masks
+                .map(|m| order.iter().map(|&i| m[i as usize]).collect()),
+            offsets,
+        }
+    }
+}
+
+/// Finished per-entry danger windows of the core structures. The register
+/// file's windows carry the static writeback demand mask of the write
+/// that opened them (`!0` for windows opened by anything else).
+#[derive(Debug)]
 pub(crate) struct CoreWindows {
-    pub(crate) rf: Vec<Vec<LiveWindow>>,
-    /// Static writeback demand mask of each RF window, parallel to `rf`: a
-    /// clear bit is provably unobservable for the whole window. Windows
-    /// opened by anything other than an attributed writeback carry `!0`.
-    pub(crate) rf_masks: Vec<Vec<u64>>,
-    pub(crate) rob: Vec<Vec<LiveWindow>>,
-    pub(crate) iq: Vec<Vec<LiveWindow>>,
-    pub(crate) lq: Vec<Vec<LiveWindow>>,
-    pub(crate) sq: Vec<Vec<LiveWindow>>,
+    pub(crate) rf: WindowTable,
+    pub(crate) rob: WindowTable,
+    pub(crate) iq: WindowTable,
+    pub(crate) lq: WindowTable,
+    pub(crate) sq: WindowTable,
+}
+
+/// The uop occupying a queue slot.
+#[derive(Debug, Clone, Copy)]
+struct Occupant {
+    seq: u64,
+    /// Cycle the slot was allocated.
+    start: u64,
+    /// Whether the uop writes a register (the ROB's destination fields).
+    has_dest: bool,
+}
+
+/// Residency of one queue structure: its occupants by slot (a slot holds
+/// one uop at a time, tagged with the uop's sequence number so that a
+/// squash can discard every younger entry), the live cycles of entries
+/// read out, and the closed windows while recording.
+#[derive(Debug, Clone, Default)]
+struct QueueResidency {
+    slots: Vec<Option<Occupant>>,
+    acc: u64,
+    log: Option<WindowLog>,
+}
+
+impl QueueResidency {
+    fn push(&mut self, slot: usize, occupant: Occupant) {
+        if self.slots.len() <= slot {
+            self.slots.resize(slot + 1, None);
+        }
+        debug_assert!(
+            self.slots[slot].is_none(),
+            "queue slot {slot} holds two uops"
+        );
+        self.slots[slot] = Some(occupant);
+    }
+
+    /// The read that retires the uop numbered `seq` from `slot` at
+    /// `cycle`; returns it, or `None` if the slot holds no such uop.
+    fn pop(&mut self, slot: usize, seq: u64, cycle: u64) -> Option<Occupant> {
+        let held = self.slots.get_mut(slot)?;
+        let o = held.take_if(|o| o.seq == seq)?;
+        self.acc += cycle.saturating_sub(o.start);
+        if let Some(log) = &mut self.log {
+            log.push(slot, o.start, cycle);
+        }
+        Some(o)
+    }
+
+    /// Discards every occupant younger than `boundary_seq`, closing its
+    /// window at `cycle` (see [`CoreResidency::squash_queues`]).
+    fn squash(&mut self, boundary_seq: u64, cycle: u64) {
+        for (slot, held) in self.slots.iter_mut().enumerate() {
+            if let Some(o) = held.take_if(|o| o.seq > boundary_seq) {
+                if let Some(log) = &mut self.log {
+                    log.push(slot, o.start, cycle);
+                }
+            }
+        }
+    }
+
+    /// Takes the recorded windows as a table of `entries` slots, still
+    /// resident occupants dangerous forever (see
+    /// [`CoreResidency::take_windows`]); `None` if recording is off.
+    fn take_windows(&mut self, entries: usize) -> Option<WindowTable> {
+        let mut log = self.log.take()?;
+        for (slot, held) in self.slots.iter().enumerate() {
+            if let Some(o) = held {
+                log.push(slot, o.start, u64::MAX);
+            }
+        }
+        Some(log.into_table(entries))
+    }
 }
 
 /// Residency accumulators for the core structures (register file, ROB,
-/// IQ, load/store queues). Queue entries are keyed by uop sequence number
-/// so that a squash can discard every younger entry without knowing the
-/// structures' internal slot layout; each entry also carries its slot
-/// index so closed occupancy windows land on the right injection target.
+/// IQ, load/store queues).
+///
+/// The queue hooks are kept out of line: the pipeline stages that call
+/// them are the simulator's hot loop, which an uninstrumented run executes
+/// without ever taking these calls.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct CoreResidency {
     rf: Vec<Option<Open>>,
@@ -105,22 +310,13 @@ pub(crate) struct CoreResidency {
     /// the opening writeback carried a static annotation).
     rf_cur_mask: Vec<u64>,
     rf_acc: u64,
-    rob: HashMap<u64, (u64, bool, usize)>,
-    rob_acc: u64,
+    /// Closed register windows with their masks, while recording.
+    rf_log: Option<WindowLog>,
+    rob: QueueResidency,
     rob_dest_acc: u64,
-    iq: HashMap<u64, (u64, usize)>,
-    iq_acc: u64,
-    lq: HashMap<u64, (u64, usize)>,
-    lq_acc: u64,
-    sq: HashMap<u64, (u64, usize)>,
-    sq_acc: u64,
-    record_windows: bool,
-    rf_windows: Vec<Vec<LiveWindow>>,
-    rf_mask_windows: Vec<Vec<u64>>,
-    rob_windows: Vec<Vec<LiveWindow>>,
-    iq_windows: Vec<Vec<LiveWindow>>,
-    lq_windows: Vec<Vec<LiveWindow>>,
-    sq_windows: Vec<Vec<LiveWindow>>,
+    iq: QueueResidency,
+    lq: QueueResidency,
+    sq: QueueResidency,
 }
 
 impl CoreResidency {
@@ -136,7 +332,10 @@ impl CoreResidency {
     /// are only needed when the run feeds a [`LivenessMap`], and they cost
     /// memory proportional to the event count).
     pub(crate) fn set_record_windows(&mut self, on: bool) {
-        self.record_windows = on;
+        self.rf_log = on.then(WindowLog::masked);
+        for queue in [&mut self.rob, &mut self.iq, &mut self.lq, &mut self.sq] {
+            queue.log = on.then(WindowLog::default);
+        }
     }
 
     /// Marks a register live from `cycle` (initial architectural state).
@@ -151,11 +350,11 @@ impl CoreResidency {
     fn rf_close(&mut self, tag: PhysReg) {
         if let Some(o) = self.rf[tag as usize].take() {
             self.rf_acc += o.span();
-            if self.record_windows {
-                push_window(&mut self.rf_windows, tag as usize, o.start, o.last_read);
-                push_mask(
-                    &mut self.rf_mask_windows,
+            if let Some(log) = &mut self.rf_log {
+                log.push_masked(
                     tag as usize,
+                    o.start,
+                    o.last_read,
                     self.rf_cur_mask[tag as usize],
                 );
             }
@@ -199,62 +398,57 @@ impl CoreResidency {
         }
     }
 
+    #[inline(never)]
     pub(crate) fn rob_push(&mut self, seq: u64, slot: usize, has_dest: bool, cycle: u64) {
-        self.rob.insert(seq, (cycle, has_dest, slot));
+        self.rob.push(
+            slot,
+            Occupant {
+                seq,
+                start: cycle,
+                has_dest,
+            },
+        );
     }
 
     /// Commit reads every ROB field of the retiring entry.
-    pub(crate) fn rob_pop(&mut self, seq: u64, cycle: u64) {
-        if let Some((start, has_dest, slot)) = self.rob.remove(&seq) {
-            let span = cycle.saturating_sub(start);
-            self.rob_acc += span;
-            if has_dest {
-                self.rob_dest_acc += span;
-            }
-            if self.record_windows {
-                push_window(&mut self.rob_windows, slot, start, cycle);
+    #[inline(never)]
+    pub(crate) fn rob_pop(&mut self, slot: usize, seq: u64, cycle: u64) {
+        if let Some(o) = self.rob.pop(slot, seq, cycle) {
+            if o.has_dest {
+                self.rob_dest_acc += cycle.saturating_sub(o.start);
             }
         }
     }
 
+    #[inline(never)]
     pub(crate) fn iq_insert(&mut self, seq: u64, slot: usize, cycle: u64) {
-        self.iq.insert(seq, (cycle, slot));
+        self.iq.push(slot, queued(seq, cycle));
     }
 
     /// Issue reads the IQ entry's tags and removes it.
-    pub(crate) fn iq_remove(&mut self, seq: u64, cycle: u64) {
-        if let Some((start, slot)) = self.iq.remove(&seq) {
-            self.iq_acc += cycle.saturating_sub(start);
-            if self.record_windows {
-                push_window(&mut self.iq_windows, slot, start, cycle);
-            }
-        }
+    #[inline(never)]
+    pub(crate) fn iq_remove(&mut self, slot: usize, seq: u64, cycle: u64) {
+        self.iq.pop(slot, seq, cycle);
     }
 
+    #[inline(never)]
     pub(crate) fn lq_push(&mut self, seq: u64, slot: usize, cycle: u64) {
-        self.lq.insert(seq, (cycle, slot));
+        self.lq.push(slot, queued(seq, cycle));
     }
 
-    pub(crate) fn lq_pop(&mut self, seq: u64, cycle: u64) {
-        if let Some((start, slot)) = self.lq.remove(&seq) {
-            self.lq_acc += cycle.saturating_sub(start);
-            if self.record_windows {
-                push_window(&mut self.lq_windows, slot, start, cycle);
-            }
-        }
+    #[inline(never)]
+    pub(crate) fn lq_pop(&mut self, slot: usize, seq: u64, cycle: u64) {
+        self.lq.pop(slot, seq, cycle);
     }
 
+    #[inline(never)]
     pub(crate) fn sq_push(&mut self, seq: u64, slot: usize, cycle: u64) {
-        self.sq.insert(seq, (cycle, slot));
+        self.sq.push(slot, queued(seq, cycle));
     }
 
-    pub(crate) fn sq_pop(&mut self, seq: u64, cycle: u64) {
-        if let Some((start, slot)) = self.sq.remove(&seq) {
-            self.sq_acc += cycle.saturating_sub(start);
-            if self.record_windows {
-                push_window(&mut self.sq_windows, slot, start, cycle);
-            }
-        }
+    #[inline(never)]
+    pub(crate) fn sq_pop(&mut self, slot: usize, seq: u64, cycle: u64) {
+        self.sq.pop(slot, seq, cycle);
     }
 
     /// Discards every queue entry younger than `boundary_seq` — squashed
@@ -264,39 +458,9 @@ impl CoreResidency {
     /// pipeline cross-checks those entries every cycle, so flips on them
     /// are observable (as Asserts) and must not be pruned.
     pub(crate) fn squash_queues(&mut self, boundary_seq: u64, cycle: u64) {
-        let record = self.record_windows;
-        let rob_windows = &mut self.rob_windows;
-        self.rob.retain(|&seq, &mut (start, _, slot)| {
-            let keep = seq <= boundary_seq;
-            if !keep && record {
-                push_window(rob_windows, slot, start, cycle);
-            }
-            keep
-        });
-        let iq_windows = &mut self.iq_windows;
-        self.iq.retain(|&seq, &mut (start, slot)| {
-            let keep = seq <= boundary_seq;
-            if !keep && record {
-                push_window(iq_windows, slot, start, cycle);
-            }
-            keep
-        });
-        let lq_windows = &mut self.lq_windows;
-        self.lq.retain(|&seq, &mut (start, slot)| {
-            let keep = seq <= boundary_seq;
-            if !keep && record {
-                push_window(lq_windows, slot, start, cycle);
-            }
-            keep
-        });
-        let sq_windows = &mut self.sq_windows;
-        self.sq.retain(|&seq, &mut (start, slot)| {
-            let keep = seq <= boundary_seq;
-            if !keep && record {
-                push_window(sq_windows, slot, start, cycle);
-            }
-            keep
-        });
+        for queue in [&mut self.rob, &mut self.iq, &mut self.lq, &mut self.sq] {
+            queue.squash(boundary_seq, cycle);
+        }
     }
 
     /// Entry-granular live-cycle totals `(rf, rob, rob_dest, iq, lq, sq)`,
@@ -306,65 +470,46 @@ impl CoreResidency {
         let rf = self.rf_acc + self.rf.iter().flatten().map(Open::span).sum::<u64>();
         (
             rf,
-            self.rob_acc,
+            self.rob.acc,
             self.rob_dest_acc,
-            self.iq_acc,
-            self.lq_acc,
-            self.sq_acc,
+            self.iq.acc,
+            self.lq.acc,
+            self.sq.acc,
         )
     }
 
-    /// The recorded danger windows, with still-open entries closed
+    /// Takes the recorded danger windows, grouped per entry into tables
+    /// covering `[rf, rob, iq, lq, sq]` entries, or `None` if recording
+    /// is off; recording stops. Still-open entries are closed
     /// conservatively: an open register interval dies at its last read (no
     /// later cycle can observe it before the run ends), while queue
     /// entries still resident at end of run stay dangerous forever — a
     /// flip on them at any later cycle would still be cross-checked if the
     /// run went on, so they close at `u64::MAX`.
-    pub(crate) fn live_windows(&self) -> CoreWindows {
-        let mut w = CoreWindows {
-            rf: self.rf_windows.clone(),
-            rf_masks: self.rf_mask_windows.clone(),
-            rob: self.rob_windows.clone(),
-            iq: self.iq_windows.clone(),
-            lq: self.lq_windows.clone(),
-            sq: self.sq_windows.clone(),
-        };
+    pub(crate) fn take_windows(&mut self, entries: [usize; 5]) -> Option<CoreWindows> {
+        let mut rf_log = self.rf_log.take()?;
         for (tag, o) in self.rf.iter().enumerate() {
             if let Some(o) = o {
-                push_window(&mut w.rf, tag, o.start, o.last_read);
-                push_mask(&mut w.rf_masks, tag, self.rf_cur_mask[tag]);
+                rf_log.push_masked(tag, o.start, o.last_read, self.rf_cur_mask[tag]);
             }
         }
-        for &(start, _, slot) in self.rob.values() {
-            push_window(&mut w.rob, slot, start, u64::MAX);
-        }
-        for &(start, slot) in self.iq.values() {
-            push_window(&mut w.iq, slot, start, u64::MAX);
-        }
-        for &(start, slot) in self.lq.values() {
-            push_window(&mut w.lq, slot, start, u64::MAX);
-        }
-        for &(start, slot) in self.sq.values() {
-            push_window(&mut w.sq, slot, start, u64::MAX);
-        }
-        // RF windows must keep their mask vector aligned through the sort,
-        // so entries are permuted as (window, mask) pairs.
-        w.rf_masks.resize_with(w.rf.len(), Vec::new);
-        for (entry, masks) in w.rf.iter_mut().zip(w.rf_masks.iter_mut()) {
-            debug_assert_eq!(entry.len(), masks.len(), "rf window/mask desync");
-            let mut pairs: Vec<(LiveWindow, u64)> = entry.drain(..).zip(masks.drain(..)).collect();
-            pairs.sort_by_key(|(lw, _)| lw.start);
-            for (lw, m) in pairs {
-                entry.push(lw);
-                masks.push(m);
-            }
-        }
-        for windows in [&mut w.rob, &mut w.iq, &mut w.lq, &mut w.sq] {
-            for entry in windows.iter_mut() {
-                entry.sort_by_key(|lw| lw.start);
-            }
-        }
-        w
+        let [rf, rob, iq, lq, sq] = entries;
+        Some(CoreWindows {
+            rf: rf_log.into_table(rf),
+            rob: self.rob.take_windows(rob)?,
+            iq: self.iq.take_windows(iq)?,
+            lq: self.lq.take_windows(lq)?,
+            sq: self.sq.take_windows(sq)?,
+        })
+    }
+}
+
+/// An IQ, LQ or SQ occupant (no destination accounting).
+fn queued(seq: u64, cycle: u64) -> Occupant {
+    Occupant {
+        seq,
+        start: cycle,
+        has_dest: false,
     }
 }
 
@@ -385,8 +530,23 @@ struct LineWindow {
 pub(crate) struct CacheResidency {
     open: Vec<Option<Open>>,
     acc: u64,
-    record_windows: bool,
-    windows: Vec<Vec<LineWindow>>,
+    /// Closed lifetimes in closing order, while
+    /// [`CacheResidency::set_record_windows`] is on.
+    log: Option<LineLog>,
+}
+
+/// Closed cache-line lifetimes in closing order, each keyed by its line.
+#[derive(Debug, Clone, Default)]
+struct LineLog {
+    lines: Vec<u32>,
+    windows: Vec<LineWindow>,
+}
+
+impl LineLog {
+    fn push(&mut self, line: usize, window: LineWindow) {
+        self.lines.push(line as u32);
+        self.windows.push(window);
+    }
 }
 
 impl CacheResidency {
@@ -394,15 +554,14 @@ impl CacheResidency {
         CacheResidency {
             open: vec![None; lines],
             acc: 0,
-            record_windows: false,
-            windows: vec![Vec::new(); lines],
+            log: None,
         }
     }
 
     /// Turns on per-line window recording (see
     /// [`CoreResidency::set_record_windows`]).
     pub(crate) fn set_record_windows(&mut self, on: bool) {
-        self.record_windows = on;
+        self.log = on.then(LineLog::default);
     }
 
     fn close(&mut self, line: usize, o: Open, valid_end: u64, dirty: bool) {
@@ -412,12 +571,15 @@ impl CacheResidency {
             o.last_read
         };
         self.acc += data_end.saturating_sub(o.start);
-        if self.record_windows {
-            self.windows[line].push(LineWindow {
-                start: o.start,
-                data_end,
-                valid_end,
-            });
+        if let Some(log) = &mut self.log {
+            log.push(
+                line,
+                LineWindow {
+                    start: o.start,
+                    data_end,
+                    valid_end,
+                },
+            );
         }
     }
 
@@ -453,38 +615,50 @@ impl CacheResidency {
         self.acc + self.open.iter().flatten().map(Open::span).sum::<u64>()
     }
 
-    /// The recorded danger windows as `(data, tag)` per-line window lists.
-    /// Still-valid lines close their data window at the last use and keep
-    /// their tag window open forever (the line would stay a false-hit
-    /// candidate for as long as the run continued).
-    pub(crate) fn live_windows(&self) -> (Vec<Vec<LiveWindow>>, Vec<Vec<LiveWindow>>) {
-        let mut data = vec![Vec::new(); self.open.len()];
-        let mut tag = vec![Vec::new(); self.open.len()];
-        for (line, lws) in self.windows.iter().enumerate() {
-            for lw in lws {
-                data[line].push(LiveWindow {
-                    start: lw.start,
-                    end: lw.data_end,
-                });
-                tag[line].push(LiveWindow {
-                    start: lw.start,
-                    end: lw.valid_end,
-                });
-            }
-        }
+    /// Takes the recorded danger windows as `(data, tag)` tables, or
+    /// `None` if recording is off; recording stops. Still-valid lines
+    /// close their data window at the last use and keep their tag window
+    /// open forever (the line would stay a false-hit candidate for as long
+    /// as the run continued).
+    pub(crate) fn take_windows(&mut self) -> Option<(WindowTable, WindowTable)> {
+        let mut log = self.log.take()?;
         for (line, o) in self.open.iter().enumerate() {
             if let Some(o) = o {
-                data[line].push(LiveWindow {
-                    start: o.start,
-                    end: o.last_read,
-                });
-                tag[line].push(LiveWindow {
-                    start: o.start,
-                    end: u64::MAX,
-                });
+                log.push(
+                    line,
+                    LineWindow {
+                        start: o.start,
+                        data_end: o.last_read,
+                        valid_end: u64::MAX,
+                    },
+                );
             }
         }
-        (data, tag)
+        let (offsets, order) =
+            group_by_entry(self.open.len(), &log.lines, |i| log.windows[i].start);
+        let windows = |end: fn(&LineWindow) -> u64| -> Vec<LiveWindow> {
+            order
+                .iter()
+                .map(|&i| {
+                    let lw = &log.windows[i as usize];
+                    LiveWindow {
+                        start: lw.start,
+                        end: end(lw),
+                    }
+                })
+                .collect()
+        };
+        let data = WindowTable {
+            offsets: offsets.clone(),
+            windows: windows(|lw| lw.data_end),
+            masks: None,
+        };
+        let tag = WindowTable {
+            offsets,
+            windows: windows(|lw| lw.valid_end),
+            masks: None,
+        };
+        Some((data, tag))
     }
 }
 
@@ -518,7 +692,7 @@ pub struct StructureResidency {
 /// read), `true` is merely "not provably dead". All approximations are
 /// conservative: unknown bits, out-of-range queries, and always-live
 /// offsets (ghost-creating valid bits) answer `true`.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct StructureLiveness {
     structure: Structure,
     bits: u64,
@@ -528,13 +702,12 @@ pub struct StructureLiveness {
     /// (IQ dest-array valid bits make ghost entries, cache tag-array valid
     /// bits resurrect stale lines), so no occupancy window bounds it.
     always_live_offset: Option<u64>,
-    /// Per entry, chronologically sorted inclusive danger windows.
-    windows: Vec<Vec<LiveWindow>>,
-    /// Per entry, static demand mask of each window (parallel to
-    /// `windows`). `None` when the structure carries no static
-    /// annotations; then [`StructureLiveness::is_vulnerable`] degrades to
-    /// [`StructureLiveness::is_ace`].
-    masks: Option<Vec<Vec<u64>>>,
+    /// Per entry, chronologically sorted inclusive danger windows, with
+    /// the static demand mask of each where the structure carries them
+    /// (without masks [`StructureLiveness::is_vulnerable`] degrades to
+    /// [`StructureLiveness::is_ace`]). Structures that are fields of the
+    /// same entries (the ROB's four, the IQ's two) share one table.
+    table: Arc<WindowTable>,
 }
 
 impl StructureLiveness {
@@ -543,9 +716,9 @@ impl StructureLiveness {
         bits: u64,
         entries: usize,
         always_live_offset: Option<u64>,
-        mut windows: Vec<Vec<LiveWindow>>,
+        table: Arc<WindowTable>,
     ) -> StructureLiveness {
-        windows.resize_with(entries.max(windows.len()), Vec::new);
+        debug_assert!(table.entries() >= entries, "window table misses entries");
         let bits_per_entry = if entries == 0 {
             0
         } else {
@@ -556,19 +729,8 @@ impl StructureLiveness {
             bits,
             bits_per_entry,
             always_live_offset,
-            windows,
-            masks: None,
+            table,
         }
-    }
-
-    /// Attaches per-window static demand masks (parallel to the window
-    /// lists passed to [`StructureLiveness::new`]). Entries beyond the
-    /// mask vector, or windows beyond an entry's mask list, stay
-    /// conservative (full demand).
-    pub(crate) fn with_masks(mut self, mut masks: Vec<Vec<u64>>) -> StructureLiveness {
-        masks.resize_with(self.windows.len(), Vec::new);
-        self.masks = Some(masks);
-        self
     }
 
     /// The structure this liveness describes.
@@ -591,7 +753,7 @@ impl StructureLiveness {
         if self.always_live_offset == Some(bit % self.bits_per_entry) {
             return true;
         }
-        let Some(ws) = self.windows.get(entry) else {
+        let Some(ws) = self.table.windows(entry) else {
             return true;
         };
         // Windows are sorted by start and non-nested (an entry's next
@@ -607,7 +769,7 @@ impl StructureLiveness {
     /// bit. Without attached masks this is exactly `is_ace`, so the
     /// static answer is always a subset refinement of the dynamic one.
     pub fn is_vulnerable(&self, bit: u64, cycle: u64) -> bool {
-        let Some(masks) = &self.masks else {
+        let Some(masks) = &self.table.masks else {
             return self.is_ace(bit, cycle);
         };
         if self.bits_per_entry == 0 || bit >= self.bits {
@@ -618,9 +780,10 @@ impl StructureLiveness {
         if self.always_live_offset == Some(off) || off >= 64 {
             return true;
         }
-        let (Some(ws), Some(ms)) = (self.windows.get(entry), masks.get(entry)) else {
+        let Some(r) = self.table.range(entry) else {
             return true;
         };
+        let (ws, ms) = (&self.table.windows[r.clone()], &masks[r]);
         let idx = ws.partition_point(|w| w.start <= cycle);
         // Adjacent windows may share a boundary cycle (a write closes the
         // previous window and opens the next on the same cycle), so every
@@ -633,8 +796,7 @@ impl StructureLiveness {
             if ws[i].end < cycle {
                 break;
             }
-            let demand = ms.get(i).copied().unwrap_or(!0);
-            if demand & (1u64 << off) != 0 {
+            if ms[i] & (1u64 << off) != 0 {
                 return true;
             }
         }
@@ -643,7 +805,7 @@ impl StructureLiveness {
 
     /// The recorded danger windows of one entry (for diagnostics/tests).
     pub fn entry_windows(&self, entry: usize) -> &[LiveWindow] {
-        self.windows.get(entry).map_or(&[], Vec::as_slice)
+        self.table.windows(entry).unwrap_or(&[])
     }
 
     /// Exact number of `(bit, cycle)` sites with `cycle < cycles` for which
@@ -653,6 +815,11 @@ impl StructureLiveness {
     /// including every conservative fallback (unattributable bits,
     /// always-live offsets, entries beyond the recorded windows, offsets
     /// beyond the 64-bit demand masks).
+    ///
+    /// Offsets whose bit every window's mask treats alike share one
+    /// window union, so an entry costs one pass over its windows per such
+    /// class of offsets (a handful, for the masks compilers emit) rather
+    /// than one per offset.
     pub fn vulnerable_site_count(&self, cycles: u64) -> u64 {
         if cycles == 0 || self.bits == 0 {
             return 0;
@@ -662,31 +829,62 @@ impl StructureLiveness {
             return total.min(u64::MAX as u128) as u64;
         }
         let bpe = self.bits_per_entry;
+        let mut classes: Vec<u64> = Vec::with_capacity(64);
         let mut live: u128 = 0;
         for e in 0..self.bits.div_ceil(bpe) {
             let entry_bits = bpe.min(self.bits - e * bpe);
-            let Some(ws) = self.windows.get(e as usize) else {
+            let Some(r) = self.table.range(e as usize) else {
                 // Bits we cannot attribute to a recorded entry stay
                 // conservative, exactly like the query path.
                 live += entry_bits as u128 * cycles as u128;
                 continue;
             };
-            let union_all = union_cycles(ws, cycles, |_| true);
-            for off in 0..entry_bits {
-                live += if self.always_live_offset == Some(off) {
-                    cycles as u128
-                } else {
-                    match &self.masks {
-                        None => union_all as u128,
-                        Some(masks) => match masks.get(e as usize) {
-                            None => cycles as u128,
-                            Some(_) if off >= 64 => cycles as u128,
-                            Some(ms) => union_cycles(ws, cycles, |i| {
-                                ms.get(i).copied().unwrap_or(!0) & (1u64 << off) != 0
-                            }) as u128,
-                        },
+            let ws = &self.table.windows[r.clone()];
+            let always = self.always_live_offset.filter(|&a| a < entry_bits);
+            let Some(masks) = &self.table.masks else {
+                let union_all = union_cycles(ws, cycles, |_| true);
+                let n_always = u64::from(always.is_some());
+                live += n_always as u128 * cycles as u128
+                    + (entry_bits - n_always) as u128 * union_all as u128;
+                continue;
+            };
+            let ms = &masks[r];
+            // Offsets past the 64-bit masks, and the always-live offset,
+            // are live at every cycle.
+            let masked = entry_bits.min(64);
+            let mut demand_set = if masked == 64 {
+                !0
+            } else {
+                (1u64 << masked) - 1
+            };
+            if let Some(a) = always.filter(|&a| a < 64) {
+                demand_set &= !(1u64 << a);
+            }
+            let fixed = entry_bits - u64::from(demand_set.count_ones());
+            live += fixed as u128 * cycles as u128;
+            // Split the remaining offsets into classes no mask tells
+            // apart: every offset of a class is demanded by the same
+            // windows, so one union serves the whole class.
+            classes.clear();
+            if demand_set != 0 {
+                classes.push(demand_set);
+            }
+            for &m in ms {
+                if classes.len() as u32 == demand_set.count_ones() {
+                    break; // every class is a single offset already
+                }
+                for k in 0..classes.len() {
+                    let c = classes[k];
+                    let (inside, outside) = (c & m, c & !m);
+                    if inside != 0 && outside != 0 {
+                        classes[k] = inside;
+                        classes.push(outside);
                     }
-                };
+                }
+            }
+            for &c in &classes {
+                let union = union_cycles(ws, cycles, |i| ms[i] & c != 0);
+                live += u128::from(c.count_ones()) * union as u128;
             }
         }
         live.min(total) as u64
@@ -701,12 +899,10 @@ impl StructureLiveness {
         }
         let mut live_bit_cycles = 0u128;
         let per_entry = self.bits_per_entry as u128;
-        for ws in &self.windows {
-            for w in ws {
-                let end = w.end.min(cycles.saturating_sub(1));
-                if end >= w.start {
-                    live_bit_cycles += (end - w.start + 1) as u128 * per_entry;
-                }
+        for w in &self.table.windows {
+            let end = w.end.min(cycles.saturating_sub(1));
+            if end >= w.start {
+                live_bit_cycles += (end - w.start + 1) as u128 * per_entry;
             }
         }
         if self.always_live_offset.is_some() {
@@ -755,7 +951,7 @@ fn union_cycles(ws: &[LiveWindow], cycles: u64, accept: impl Fn(usize) -> bool) 
 /// Every structure's [`StructureLiveness`] from one golden run, plus the
 /// run length. The campaign prune filter queries this before deciding to
 /// fork a child simulator.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LivenessMap {
     cycles: u64,
     structures: Vec<StructureLiveness>,
@@ -805,6 +1001,31 @@ impl LivenessMap {
 mod tests {
     use super::*;
 
+    /// A structure's liveness from per-entry window lists (and per-entry
+    /// demand masks).
+    fn liveness(
+        structure: Structure,
+        bits: u64,
+        entries: usize,
+        always_live_offset: Option<u64>,
+        lists: Vec<Vec<LiveWindow>>,
+        masks: Option<Vec<Vec<u64>>>,
+    ) -> StructureLiveness {
+        let table = WindowTable::from_lists(entries, lists, masks);
+        StructureLiveness::new(
+            structure,
+            bits,
+            entries,
+            always_live_offset,
+            Arc::new(table),
+        )
+    }
+
+    /// The demand masks of one entry's windows.
+    fn entry_masks(table: &WindowTable, entry: usize) -> &[u64] {
+        &table.masks.as_ref().expect("masked table")[table.range(entry).expect("entry")]
+    }
+
     #[test]
     fn rf_interval_is_write_to_last_read() {
         let mut r = CoreResidency::new(8);
@@ -838,8 +1059,8 @@ mod tests {
         r.rob_push(5, 0, false, 100);
         r.rob_push(6, 1, true, 101);
         r.squash_queues(5, 110);
-        r.rob_pop(5, 120);
-        r.rob_pop(6, 130); // already squashed: no effect
+        r.rob_pop(0, 5, 120);
+        r.rob_pop(1, 6, 130); // already squashed: no effect
         let (_, rob, rob_dest, ..) = r.totals();
         assert_eq!(rob, 20);
         assert_eq!(rob_dest, 0);
@@ -851,10 +1072,10 @@ mod tests {
         r.set_record_windows(true);
         r.rob_push(6, 1, true, 101);
         r.squash_queues(5, 110);
-        let w = r.live_windows();
+        let w = r.take_windows([4; 5]).expect("recording");
         assert_eq!(
-            w.rob[1],
-            vec![LiveWindow {
+            w.rob.windows(1).unwrap(),
+            [LiveWindow {
                 start: 101,
                 end: 110
             }],
@@ -870,10 +1091,10 @@ mod tests {
         r.rf_read(3, 40);
         r.rf_free(3);
         r.rf_write(3, 60, !0); // reallocated, never read, still open at end
-        let w = r.live_windows();
+        let w = r.take_windows([8, 4, 4, 4, 4]).expect("recording");
         assert_eq!(
-            w.rf[3],
-            vec![
+            w.rf.windows(3).unwrap(),
+            [
                 LiveWindow { start: 10, end: 40 },
                 LiveWindow { start: 60, end: 60 }
             ]
@@ -888,15 +1109,15 @@ mod tests {
         r.rf_read(3, 40);
         r.rf_free(3);
         r.rf_write(3, 60, 0x0f00); // still open at the end of the run
-        let w = r.live_windows();
+        let w = r.take_windows([8, 4, 4, 4, 4]).expect("recording");
         assert_eq!(
-            w.rf[3],
-            vec![
+            w.rf.windows(3).unwrap(),
+            [
                 LiveWindow { start: 10, end: 40 },
                 LiveWindow { start: 60, end: 60 }
             ]
         );
-        assert_eq!(w.rf_masks[3], vec![0x00ff, 0x0f00]);
+        assert_eq!(entry_masks(&w.rf, 3), [0x00ff, 0x0f00]);
     }
 
     #[test]
@@ -906,7 +1127,7 @@ mod tests {
             LiveWindow { start: 20, end: 50 },
         ]];
         let masks = vec![vec![0b0001u64, 0b0010u64]];
-        let s = StructureLiveness::new(Structure::RegFile, 64, 1, None, windows).with_masks(masks);
+        let s = liveness(Structure::RegFile, 64, 1, None, windows, Some(masks));
         // Inside the first window only: demand follows that window's mask.
         assert!(s.is_vulnerable(0, 15));
         assert!(!s.is_vulnerable(1, 15), "bit 1 not demanded by window 0");
@@ -928,7 +1149,7 @@ mod tests {
     #[test]
     fn maskless_vulnerability_degrades_to_ace() {
         let windows = vec![vec![LiveWindow { start: 5, end: 9 }]];
-        let s = StructureLiveness::new(Structure::RegFile, 64, 1, None, windows);
+        let s = liveness(Structure::RegFile, 64, 1, None, windows, None);
         for (bit, cycle) in [(0, 7), (63, 7), (0, 4), (0, 10)] {
             assert_eq!(s.is_vulnerable(bit, cycle), s.is_ace(bit, cycle));
         }
@@ -939,10 +1160,10 @@ mod tests {
         let mut r = CoreResidency::new(4);
         r.set_record_windows(true);
         r.lq_push(9, 2, 50);
-        let w = r.live_windows();
+        let w = r.take_windows([4; 5]).expect("recording");
         assert_eq!(
-            w.lq[2],
-            vec![LiveWindow {
+            w.lq.windows(2).unwrap(),
+            [LiveWindow {
                 start: 50,
                 end: u64::MAX
             }]
@@ -980,13 +1201,19 @@ mod tests {
         c.on_evict(0, 90, false); // clean: data dies at 20, tag at 90
         c.on_fill(1, 30); // still valid at end of run
         c.on_use(1, 40);
-        let (data, tag) = c.live_windows();
-        assert_eq!(data[0], vec![LiveWindow { start: 10, end: 20 }]);
-        assert_eq!(tag[0], vec![LiveWindow { start: 10, end: 90 }]);
-        assert_eq!(data[1], vec![LiveWindow { start: 30, end: 40 }]);
+        let (data, tag) = c.take_windows().expect("recording");
         assert_eq!(
-            tag[1],
-            vec![LiveWindow {
+            data.windows(0).unwrap(),
+            [LiveWindow { start: 10, end: 20 }]
+        );
+        assert_eq!(tag.windows(0).unwrap(), [LiveWindow { start: 10, end: 90 }]);
+        assert_eq!(
+            data.windows(1).unwrap(),
+            [LiveWindow { start: 30, end: 40 }]
+        );
+        assert_eq!(
+            tag.windows(1).unwrap(),
+            [LiveWindow {
                 start: 30,
                 end: u64::MAX
             }]
@@ -999,7 +1226,7 @@ mod tests {
             vec![LiveWindow { start: 10, end: 20 }],
             Vec::new(), // entry 1 never occupied
         ];
-        let s = StructureLiveness::new(Structure::LoadQueue, 2 * 32, 2, None, windows);
+        let s = liveness(Structure::LoadQueue, 2 * 32, 2, None, windows, None);
         assert!(s.is_ace(0, 10), "window start is inclusive");
         assert!(s.is_ace(31, 20), "window end is inclusive");
         assert!(!s.is_ace(0, 9), "before the window is dead");
@@ -1018,7 +1245,14 @@ mod tests {
     fn always_live_offset_defeats_occupancy() {
         // 9-bit entries with the valid bit at offset 8, like the IQ dest
         // array: a ghost flip on a free slot must stay dangerous.
-        let s = StructureLiveness::new(Structure::IqDest, 4 * 9, 4, Some(8), vec![Vec::new(); 4]);
+        let s = liveness(
+            Structure::IqDest,
+            4 * 9,
+            4,
+            Some(8),
+            vec![Vec::new(); 4],
+            None,
+        );
         assert!(s.is_ace(8, 500), "valid bit of a free entry is live");
         assert!(!s.is_ace(7, 500), "payload bits of a free entry are dead");
     }
@@ -1038,84 +1272,115 @@ mod tests {
 
     #[test]
     fn vulnerable_site_count_matches_brute_force() {
+        let w = |start, end| LiveWindow { start, end };
+        // Windows with many distinct masks, so the offsets split into
+        // many classes (xorshift, seeded).
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = move || {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x
+        };
+        let mut varied_windows = Vec::new();
+        let mut varied_masks = Vec::new();
+        for _ in 0..3 {
+            let (mut ws, mut ms, mut at) = (Vec::new(), Vec::new(), 0);
+            for _ in 0..6 {
+                let start = at + next() % 4;
+                let end = start + next() % 9;
+                ws.push(w(start, end));
+                ms.push(match next() % 3 {
+                    0 => !0,
+                    1 => 0xff,
+                    _ => next(),
+                });
+                at = end;
+            }
+            varied_windows.push(ws);
+            varied_masks.push(ms);
+        }
         let cases: Vec<(&str, StructureLiveness)> = vec![
             (
                 "masked rf with boundary-sharing windows",
-                StructureLiveness::new(
+                liveness(
                     Structure::RegFile,
                     2 * 64,
                     2,
                     None,
-                    vec![
-                        vec![
-                            LiveWindow { start: 10, end: 20 },
-                            LiveWindow { start: 20, end: 50 },
-                            LiveWindow { start: 60, end: 60 },
-                        ],
-                        vec![LiveWindow { start: 5, end: 90 }],
-                    ],
-                )
-                .with_masks(vec![vec![0b0001, 0b0110, !0], vec![0x00ff]]),
+                    vec![vec![w(10, 20), w(20, 50), w(60, 60)], vec![w(5, 90)]],
+                    Some(vec![vec![0b0001, 0b0110, !0], vec![0x00ff]]),
+                ),
             ),
             (
                 "maskless queue with an open-forever entry",
-                StructureLiveness::new(
+                liveness(
                     Structure::LoadQueue,
                     3 * 32,
                     3,
                     None,
-                    vec![
-                        vec![LiveWindow { start: 0, end: 9 }],
-                        vec![LiveWindow {
-                            start: 40,
-                            end: u64::MAX,
-                        }],
-                        Vec::new(),
-                    ],
+                    vec![vec![w(0, 9)], vec![w(40, u64::MAX)], Vec::new()],
+                    None,
                 ),
             ),
             (
                 "always-live valid bit defeats occupancy",
-                StructureLiveness::new(
+                liveness(
                     Structure::IqDest,
                     4 * 9,
                     4,
                     Some(8),
-                    vec![
-                        vec![LiveWindow { start: 3, end: 7 }],
-                        Vec::new(),
-                        vec![LiveWindow { start: 50, end: 80 }],
-                        Vec::new(),
-                    ],
+                    vec![vec![w(3, 7)], Vec::new(), vec![w(50, 80)], Vec::new()],
+                    None,
                 ),
             ),
             (
                 "ragged bit count spills past the recorded entries",
-                StructureLiveness::new(
+                liveness(
                     Structure::RobPc,
                     10,
                     3,
                     None,
-                    vec![vec![LiveWindow { start: 1, end: 2 }], Vec::new()],
+                    vec![vec![w(1, 2)], Vec::new()],
+                    None,
                 ),
             ),
             (
                 "zero entries stay fully conservative",
-                StructureLiveness::new(Structure::RobPc, 8, 0, None, Vec::new()),
+                liveness(Structure::RobPc, 8, 0, None, Vec::new(), None),
             ),
             (
                 "masked entry wider than the 64-bit demand mask",
-                StructureLiveness::new(
+                liveness(
                     Structure::RegFile,
                     2 * 80,
                     2,
                     None,
-                    vec![
-                        vec![LiveWindow { start: 10, end: 30 }],
-                        vec![LiveWindow { start: 0, end: 4 }],
-                    ],
-                )
-                .with_masks(vec![vec![0b1010], vec![0b0001]]),
+                    vec![vec![w(10, 30)], vec![w(0, 4)]],
+                    Some(vec![vec![0b1010], vec![0b0001]]),
+                ),
+            ),
+            (
+                "many distinct masks with an always-live offset",
+                liveness(
+                    Structure::RegFile,
+                    3 * 40,
+                    3,
+                    Some(5),
+                    varied_windows.clone(),
+                    Some(varied_masks.clone()),
+                ),
+            ),
+            (
+                "masked wide entries with an always-live offset past the masks",
+                liveness(
+                    Structure::RegFile,
+                    3 * 70,
+                    3,
+                    Some(66),
+                    varied_windows,
+                    Some(varied_masks),
+                ),
             ),
         ];
         for (name, s) in &cases {
@@ -1132,7 +1397,7 @@ mod tests {
     #[test]
     fn live_fraction_counts_window_bit_cycles() {
         let windows = vec![vec![LiveWindow { start: 0, end: 9 }], Vec::new()];
-        let s = StructureLiveness::new(Structure::LoadQueue, 2 * 32, 2, None, windows);
+        let s = liveness(Structure::LoadQueue, 2 * 32, 2, None, windows, None);
         // One of two entries live for 10 of 100 cycles → 5% of bit-cycles.
         let f = s.live_fraction(100);
         assert!((f - 0.05).abs() < 1e-12, "got {f}");

@@ -5,7 +5,7 @@
 
 use softerr_cc::{Compiler, OptLevel};
 use softerr_isa::Emulator;
-use softerr_sim::{MachineConfig, Sim, SimOutcome, SimStats};
+use softerr_sim::{MachineConfig, Sim, SimOutcome, SimStats, Structure};
 use softerr_workloads::{Scale, Workload};
 
 /// The paper machines, plus an A72 whose 100-entry issue queue spans two
@@ -256,5 +256,105 @@ fn pinned_statistics_do_not_move() {
             occupancy_fnv: fnv(c.occupancy.iter().flat_map(|h| h.counts.iter().copied())),
         };
         assert_eq!(got, counters, "{what}: counters");
+    }
+}
+
+/// Entries of `structure` on `cfg`: the index range
+/// [`softerr_sim::StructureLiveness::entry_windows`] answers for.
+fn entries(cfg: &MachineConfig, structure: Structure) -> usize {
+    match structure {
+        Structure::L1IData | Structure::L1ITag => cfg.l1i.lines(),
+        Structure::L1DData | Structure::L1DTag => cfg.l1d.lines(),
+        Structure::L2Data | Structure::L2Tag => cfg.l2.lines(),
+        Structure::RegFile => cfg.phys_regs,
+        Structure::LoadQueue => cfg.lq_entries,
+        Structure::StoreQueue => cfg.sq_entries,
+        Structure::IqSrc | Structure::IqDest => cfg.iq_entries,
+        Structure::RobPc | Structure::RobDest | Structure::RobSeq | Structure::RobFlags => {
+            cfg.rob_entries
+        }
+    }
+}
+
+/// Liveness outputs of one pinned run, one slot per [`Structure::ALL`]
+/// entry: an FNV hash of every entry's danger windows (entry index, window
+/// count, then each window's bounds), the exact vulnerable-site count over
+/// the run, and the residency report's live-bit-cycles.
+#[derive(Debug, PartialEq)]
+struct PinnedLiveness {
+    windows_fnv: [u64; 15],
+    sites: [u64; 15],
+    live_bit_cycles: [u64; 15],
+}
+
+/// The liveness map, site counts and residency totals of the pinned runs
+/// of [`pinned_statistics_do_not_move`], recorded with static masks
+/// attached as campaigns record them: how the windows are stored may
+/// change, what they say may not.
+#[test]
+fn pinned_liveness_does_not_move() {
+    #[rustfmt::skip]
+    let pinned: [(Workload, OptLevel, &str, PinnedLiveness); 6] = [
+        (Workload::Qsort, OptLevel::O0, "Cortex-A15-like", PinnedLiveness {
+            windows_fnv: [0xee89ff4aa75c4cdd, 0x055ceae2fe1b6023, 0x8b9e4aced020fea9, 0xebb27cd982c52be5, 0xf359ceb578c82e49, 0x06ceabab79859977, 0x440662f008313f04, 0xb3c4c04195d2c020, 0x1a020f77d8447ec2, 0xf1c5ba371d8bd878, 0xf1c5ba371d8bd878, 0x2bd014dbe758fbba, 0x2bd014dbe758fbba, 0x2bd014dbe758fbba, 0x2bd014dbe758fbba],
+            sites: [51195392, 8234929, 53036032, 8367131, 16384, 189065280, 2212096, 2484352, 679680, 1913490, 1211400, 8877824, 5826072, 4438912, 2219456],
+            live_bit_cycles: [51187712, 1999520, 53027328, 2071380, 0, 0, 1791840, 1881152, 567904, 1634346, 817173, 6919168, 3477180, 3459584, 1729792] }),
+        (Workload::Qsort, OptLevel::O0, "Cortex-A72-like", PinnedLiveness {
+            windows_fnv: [0xad25e9d982231254, 0x5cfbcbe15335c171, 0x95ddb4292ea2b294, 0x0b601c1f107c7a76, 0x8f0d19350baae8b9, 0x8e011f76353e7d7a, 0x0ca7bcc5390ed35a, 0x0202e23be108276c, 0x842e738021c6ef83, 0xde7376b6845f7db5, 0xde7376b6845f7db5, 0x6c94e2d278e1c83c, 0x6c94e2d278e1c83c, 0x6c94e2d278e1c83c, 0x6c94e2d278e1c83c],
+            sites: [57773056, 11458364, 69030400, 9102017, 18432, 381876976, 5761634, 6386688, 1954176, 2951640, 2048096, 27516864, 9028971, 6879216, 3439608],
+            live_bit_cycles: [57764864, 2256440, 69020160, 2696100, 0, 0, 4890112, 4814080, 1588544, 2514222, 1257111, 21712960, 5685225, 5428240, 2714120] }),
+        (Workload::Qsort, OptLevel::O2, "Cortex-A15-like", PinnedLiveness {
+            windows_fnv: [0x8456bed3776528d6, 0x2fb1576219d47ba4, 0xacd1e196388dfd85, 0x74d03a243ace0091, 0xa49fef34f4335568, 0xca9202a32bcfed1c, 0xa2114a082734e51a, 0xe9aa5c19678d70c1, 0xe784e32b9ec85604, 0xd1c7fb4cc6b77cb5, 0xd1c7fb4cc6b77cb5, 0xa2bfd809aeabc45b, 0xa2bfd809aeabc45b, 0xa2bfd809aeabc45b, 0xa2bfd809aeabc45b],
+            sites: [32709120, 5641799, 36076544, 5804154, 15872, 132384176, 1694795, 1136384, 415008, 843984, 628160, 4185536, 2746758, 2092768, 1046384],
+            live_bit_cycles: [32701952, 1277420, 36067840, 1408900, 0, 0, 1401632, 835616, 348640, 710856, 355428, 3348800, 1577772, 1674400, 837200] }),
+        (Workload::Qsort, OptLevel::O2, "Cortex-A72-like", PinnedLiveness {
+            windows_fnv: [0x11ab2c7ee0eb9cd4, 0x13720e29adee0021, 0x1b1c4b48ed8b3551, 0x79290423d7a91ad0, 0x82422bbc9bdaa12c, 0x7aa8b4bd373ae6cc, 0xfce89477f40d719b, 0x8d5d89335f41dce3, 0xe2fdcc3abc3023ff, 0xd5d98ed0a0474b63, 0xd5d98ed0a0474b63, 0x9e0674eee02f36fc, 0x9e0674eee02f36fc, 0x9e0674eee02f36fc, 0x9e0674eee02f36fc],
+            sites: [26599936, 6671941, 41874944, 5657602, 17920, 232245200, 5219259, 1056192, 710016, 993942, 889816, 10755264, 3529071, 2688816, 1344408],
+            live_bit_cycles: [26593792, 1038820, 41863168, 1635280, 0, 0, 4760896, 901184, 633216, 914130, 457065, 9755392, 2515842, 2438848, 1219424] }),
+        (Workload::Fft, OptLevel::O1, "Cortex-A15-like", PinnedLiveness {
+            windows_fnv: [0x11aabab2bb1f760e, 0xd42a8473a9019b11, 0xd96d182dc5b1f076, 0x431c79c571da73bf, 0x1011d58bde5fc9e0, 0x6a204d04c4ea9c1b, 0x9fb771f9be9f55ce, 0x91cbc8d94dc86f97, 0x122a3299ea6513d4, 0xde41c2b13e36ab6c, 0xde41c2b13e36ab6c, 0x45ea9f6d2a627939, 0x45ea9f6d2a627939, 0x45ea9f6d2a627939, 0x45ea9f6d2a627939],
+            sites: [64642048, 9332296, 37749760, 7280467, 17920, 180770192, 2705980, 1785376, 443552, 1897866, 1187336, 9035200, 5929350, 4517600, 2258800],
+            live_bit_cycles: [64629248, 2524580, 37744640, 1474400, 0, 0, 2247008, 1527616, 410048, 1706634, 853317, 8076960, 4820781, 4038480, 2019240] }),
+        (Workload::Fft, OptLevel::O1, "Cortex-A72-like", PinnedLiveness {
+            windows_fnv: [0xf1e9845356e092bb, 0x88b5ac9679719925, 0x880750057911ecc4, 0x63e6e62bb57eeeae, 0xff8bc19a3f1b4528, 0x67cfd9fc59500786, 0x314b5185a23cf8f7, 0x84cc3935700c473f, 0x7896a9d23c957d75, 0x1836071c44f61031, 0x1836071c44f61031, 0x2c4e38d6a2a1da58, 0x2c4e38d6a2a1da58, 0x2c4e38d6a2a1da58, 0x2c4e38d6a2a1da58],
+            sites: [38652928, 8472580, 44862464, 5892429, 19968, 260864176, 6343644, 1011520, 667392, 1365300, 1109200, 16675904, 5471781, 4168976, 2084488],
+            live_bit_cycles: [38641152, 1509420, 44854272, 1752120, 0, 0, 5562240, 947072, 636352, 1302948, 651474, 15755968, 4699170, 3938992, 1969496] }),
+    ];
+    for (workload, level, machine, want) in pinned {
+        let cfg = MachineConfig::paper_machines()
+            .into_iter()
+            .find(|m| m.name == machine)
+            .expect("a paper machine");
+        let what = format!("{workload} at {level} on {machine}");
+        let compiled = Compiler::new(cfg.profile, level)
+            .compile(&workload.source(Scale::Tiny))
+            .unwrap();
+        let mut sim = Sim::new(&cfg, &compiled.program);
+        sim.enable_liveness();
+        sim.attach_static_masks(&compiled.program);
+        let SimOutcome::Halted { cycles, .. } = sim.run(1_000_000_000) else {
+            panic!("{what}: did not halt");
+        };
+        let map = sim.liveness_map().expect("liveness enabled");
+        let report = sim.residency_report().expect("residency enabled");
+        let mut got = PinnedLiveness {
+            windows_fnv: [0; 15],
+            sites: [0; 15],
+            live_bit_cycles: [0; 15],
+        };
+        for (i, &s) in Structure::ALL.iter().enumerate() {
+            let sl = map.structure(s).expect("every structure is tracked");
+            got.windows_fnv[i] = fnv((0..entries(&cfg, s)).flat_map(|e| {
+                let ws = sl.entry_windows(e);
+                [e as u64, ws.len() as u64]
+                    .into_iter()
+                    .chain(ws.iter().flat_map(|w| [w.start, w.end]))
+                    .collect::<Vec<u64>>()
+            }));
+            got.sites[i] = sl.vulnerable_site_count(cycles);
+            assert_eq!(report.structures[i].structure, s, "{what}: report order");
+            got.live_bit_cycles[i] = report.structures[i].live_bit_cycles;
+        }
+        assert_eq!(got, want, "{what}: liveness");
     }
 }

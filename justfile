@@ -112,8 +112,10 @@ sampling-table:
 # bench also refreshes BENCH_injection_throughput.profile.txt (a traced
 # stage-attribution table explaining what the checkpoint row is made of).
 # Then the same for the simulator's cycles per second (Sim::step_cycle on
-# both machines) against BENCH_sim_throughput.json, and for the compiler's
-# time per optimization level against BENCH_compile_speed.json, both at the
+# both machines, plain and recording the liveness map a cell whose plan
+# reads liveness builds; the liveness rows are budgeted so that a missing
+# row fails) against BENCH_sim_throughput.json, and for the compiler's time
+# per optimization level against BENCH_compile_speed.json, all at the
 # default 20%.
 bench-gate:
     cp BENCH_injection_throughput.json target/bench-baseline.json
@@ -126,7 +128,9 @@ bench-gate:
         --budget l1i_campaign/importance=0.20
     cargo bench -p softerr-bench --bench sim_throughput
     cargo run --release -p softerr-bench --bin bench_gate -- \
-        target/bench-sim-baseline.json BENCH_sim_throughput.json
+        target/bench-sim-baseline.json BENCH_sim_throughput.json \
+        --budget fft_o1_liveness/Cortex-A15-like=0.20 \
+        --budget fft_o1_liveness/Cortex-A72-like=0.20
     cargo bench -p softerr-bench --bench compile_speed
     cargo run --release -p softerr-bench --bin bench_gate -- \
         target/bench-compile-baseline.json BENCH_compile_speed.json

@@ -13,6 +13,7 @@ use softerr::{
     Workload,
 };
 use std::net::{TcpListener, TcpStream};
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::path::{Path, PathBuf};
 use std::time::{Duration, Instant};
 
@@ -43,6 +44,38 @@ fn serial_run(cfg: &StudyConfig, dir: &Path) -> SweepReport {
         .expect("serial run")
 }
 
+/// Runs `coordinator` on an ephemeral loopback port while `client`
+/// drives it from this thread with the port's address; returns the
+/// coordinator's report and the client's result.
+///
+/// `serve` returns only once every cell is done. A client that panics (a
+/// failed check) with cells left would leave the coordinator waiting for a
+/// worker forever and the test hanging instead of failing. So the client
+/// runs under `catch_unwind`; if it panicked while the coordinator is
+/// still serving, a stock worker finishes the study, the coordinator is
+/// joined, and the client's panic is raised again.
+fn serve_with<T>(coordinator: Coordinator, client: impl FnOnce(&str) -> T) -> (SweepReport, T) {
+    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
+    let addr = listener.local_addr().expect("listener addr").to_string();
+    std::thread::scope(|scope| {
+        let serve = scope.spawn(move || coordinator.serve(&listener));
+        match catch_unwind(AssertUnwindSafe(|| client(&addr))) {
+            Ok(value) => {
+                let report = serve.join().expect("coordinator thread").expect("serve");
+                (report, value)
+            }
+            Err(panic) => {
+                if !serve.is_finished() {
+                    // Only to let `serve` return; its outcome is moot.
+                    let _ = softerr::run_worker(&addr, &WorkerOptions::default());
+                }
+                let _ = serve.join();
+                resume_unwind(panic)
+            }
+        }
+    })
+}
+
 /// Serves `cfg` on an ephemeral port while `workers` run against it;
 /// returns the coordinator's report and each worker's result.
 fn distributed_run(
@@ -51,24 +84,19 @@ fn distributed_run(
     lease_ms: u64,
     workers: Vec<WorkerOptions>,
 ) -> (SweepReport, Vec<softerr::WorkerReport>) {
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
-    let addr = listener.local_addr().expect("listener addr").to_string();
     let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(dir).expect("store"))
         .lease_ms(lease_ms)
         .progress_log(dir.join("progress.jsonl"));
-    std::thread::scope(|scope| {
-        let serve = scope.spawn(move || coordinator.serve(&listener).expect("serve"));
-        let reports: Vec<_> = workers
-            .into_iter()
-            .map(|opts| {
-                let addr = addr.clone();
-                scope.spawn(move || softerr::run_worker(&addr, &opts).expect("worker"))
-            })
-            .collect::<Vec<_>>() // spawn all before joining any
-            .into_iter()
-            .map(|h| h.join().expect("worker thread"))
-            .collect();
-        (serve.join().expect("coordinator thread"), reports)
+    serve_with(coordinator, |addr| {
+        std::thread::scope(|scope| {
+            workers
+                .into_iter()
+                .map(|opts| scope.spawn(move || softerr::run_worker(addr, &opts).expect("worker")))
+                .collect::<Vec<_>>() // spawn all before joining any
+                .into_iter()
+                .map(|h| h.join().expect("worker thread"))
+                .collect()
+        })
     })
 }
 
@@ -147,14 +175,11 @@ fn killed_worker_cells_are_released_and_completed() {
     // `doomed` completes one cell, then vanishes while holding a fresh
     // lease (simulating a kill -9 mid-cell: the connection drops and the
     // unfinished lease is released). `survivor` finishes the study.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
-    let addr = listener.local_addr().expect("listener addr").to_string();
     let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(&dist_dir).expect("store"))
         .lease_ms(60_000);
-    let (dist, doomed, survivor) = std::thread::scope(|scope| {
-        let serve = scope.spawn(move || coordinator.serve(&listener).expect("serve"));
+    let (dist, (doomed, survivor)) = serve_with(coordinator, |addr| {
         let doomed = softerr::run_worker(
-            &addr,
+            addr,
             &WorkerOptions {
                 name: "doomed".into(),
                 abandon_after: Some(1),
@@ -164,7 +189,7 @@ fn killed_worker_cells_are_released_and_completed() {
         .expect("doomed worker runs until its simulated crash");
         assert!(doomed.abandoned, "the test hook must have fired");
         let survivor = softerr::run_worker(
-            &addr,
+            addr,
             &WorkerOptions {
                 name: "survivor".into(),
                 capacity: 2,
@@ -172,7 +197,7 @@ fn killed_worker_cells_are_released_and_completed() {
             },
         )
         .expect("survivor worker");
-        (serve.join().expect("coordinator thread"), doomed, survivor)
+        (doomed, survivor)
     });
 
     assert_eq!(
@@ -201,16 +226,12 @@ fn killed_worker_cells_are_released_and_completed() {
 fn forged_submissions_are_rejected_and_honest_workers_prevail() {
     let cfg = tiny_config(79);
     let dist_dir = temp_dir("forge-dist");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
-    let addr = listener.local_addr().expect("listener addr").to_string();
     let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(&dist_dir).expect("store"));
-    let (dist, honest) = std::thread::scope(|scope| {
-        let serve = scope.spawn(move || coordinator.serve(&listener).expect("serve"));
-
+    let (dist, honest) = serve_with(coordinator, |addr| {
         // A hostile client: greets correctly, then submits a cell the
         // study never planned. The coordinator must refuse it without
         // touching the store.
-        let mut stream = TcpStream::connect(&addr).expect("hostile connect");
+        let mut stream = TcpStream::connect(addr).expect("hostile connect");
         write_frame(
             &mut stream,
             &Request::Hello {
@@ -277,16 +298,15 @@ fn forged_submissions_are_rejected_and_honest_workers_prevail() {
         drop(stream);
 
         // An honest worker completes the study as if nothing happened.
-        let honest = softerr::run_worker(
-            &addr,
+        softerr::run_worker(
+            addr,
             &WorkerOptions {
                 name: "honest".into(),
                 capacity: 2,
                 ..WorkerOptions::default()
             },
         )
-        .expect("honest worker");
-        (serve.join().expect("coordinator thread"), honest)
+        .expect("honest worker")
     });
     assert_eq!(honest.completed, dist.cells);
     assert_eq!(dist.executed, dist.cells);
@@ -367,13 +387,10 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         ..tiny_config(81)
     };
     let dir = temp_dir("rtt");
-    let listener = TcpListener::bind("127.0.0.1:0").expect("ephemeral listener");
-    let addr = listener.local_addr().expect("listener addr").to_string();
     let coordinator =
         Coordinator::new(cfg, ResultStore::open(&dir).expect("store")).max_inflight(10);
-    let rtts = std::thread::scope(|scope| {
-        let serve = scope.spawn(move || coordinator.serve(&listener).expect("serve"));
-        let mut stream = TcpStream::connect(&addr).expect("connect");
+    let (_, rtts) = serve_with(coordinator, |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
         let hello = Request::Hello {
             version: PROTOCOL_VERSION,
@@ -394,8 +411,7 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         // study so the coordinator returns.
         write_frame(&mut stream, &Request::Bye).unwrap();
         read_frame::<Response>(&mut stream).unwrap();
-        softerr::run_worker(&addr, &WorkerOptions::default()).expect("worker");
-        serve.join().expect("coordinator thread");
+        softerr::run_worker(addr, &WorkerOptions::default()).expect("worker");
         rtts
     });
     std::fs::remove_dir_all(&dir).ok();
