@@ -58,7 +58,6 @@ struct Args {
     injections: u64,
     seed: u64,
     threads: usize,
-    checkpoint: bool,
     prune: PruneMode,
     prune_static: PruneMode,
     target_margin: Option<f64>,
@@ -84,7 +83,6 @@ fn parse_args() -> Result<Args, String> {
         injections: 200,
         seed: 1,
         threads: 1,
-        checkpoint: true,
         prune: PruneMode::Off,
         prune_static: PruneMode::Off,
         target_margin: None,
@@ -162,13 +160,6 @@ fn parse_args() -> Result<Args, String> {
                 "ace" => args.estimate_ace = true,
                 other => return Err(format!("unknown estimator `{other}` (ace)")),
             },
-            "--checkpoint" => {
-                args.checkpoint = match value.as_str() {
-                    "on" | "true" | "1" => true,
-                    "off" | "false" | "0" => false,
-                    other => return Err(format!("bad --checkpoint value `{other}` (on|off)")),
-                }
-            }
             "--prune" => args.prune = value.parse()?,
             "--prune-static" => args.prune_static = value.parse()?,
             "--target-margin" => {
@@ -356,7 +347,7 @@ fn main() {
             eprintln!(
                 "usage: campaign [--machine a15|a72] [--workload NAME] [--level O0..O3]\n\
                  \x20              [--structure NAME] [--scale tiny|small|full]\n\
-                 \x20              [-n COUNT] [--seed N] [--threads N] [--checkpoint on|off]\n\
+                 \x20              [-n COUNT] [--seed N] [--threads N]\n\
                  \x20              [--prune off|on|verify] [--prune-static off|on|verify]\n\
                  \x20              [--target-margin F] [--sampler uniform|importance|importance/verify]\n\
                  \x20              [--estimate ace] [--records FILE] [--trace FILE] [--profile]\n\
@@ -399,7 +390,7 @@ fn main() {
         plan,
         seed: args.seed,
         threads: args.threads,
-        checkpoint: args.checkpoint,
+        ..CampaignConfig::default()
     };
     let mut manifest = RunManifest::new(&args.machine.name, &args.machine, &campaign_cfg);
     manifest.workload = args.workload.to_string();

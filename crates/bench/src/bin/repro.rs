@@ -187,7 +187,6 @@ fn usage() {
     eprintln!("  --seed N                      campaign seed (default 20240704)");
     eprintln!("  --threads N                   worker threads per campaign (default 1)");
     eprintln!("  --jobs N                      concurrent study cells (default 1; 0 = all cores)");
-    eprintln!("  --no-checkpoint               disable golden-prefix checkpointing");
     eprintln!("  --prune off|on|verify         skip provably-masked faults via golden-run");
     eprintln!("                                liveness (verify re-simulates and asserts)");
     eprintln!("  --prune-static off|on|verify  additionally skip faults the compiler's static");
@@ -212,7 +211,6 @@ struct Options {
     seed: u64,
     threads: usize,
     jobs: usize,
-    checkpoint: bool,
     prune: PruneMode,
     prune_static: PruneMode,
     target_margin: Option<f64>,
@@ -233,7 +231,6 @@ impl Options {
             seed: 20_240_704,
             threads: 1,
             jobs: 1,
-            checkpoint: true,
             prune: PruneMode::Off,
             prune_static: PruneMode::Off,
             target_margin: None,
@@ -280,7 +277,6 @@ impl Options {
                 "--seed" => opts.seed = next("--seed").parse().expect("number"),
                 "--threads" => opts.threads = next("--threads").parse().expect("number"),
                 "--jobs" => opts.jobs = next("--jobs").parse().expect("number"),
-                "--no-checkpoint" => opts.checkpoint = false,
                 "--prune" => {
                     opts.prune = next("--prune").parse().unwrap_or_else(|e: String| {
                         eprintln!("{e}");
@@ -372,26 +368,12 @@ fn study(opts: &Options) -> StudyResults {
         config.total_injections(),
         store.root().display()
     );
-    let report = Orchestrator::new(config)
+    Orchestrator::new(config)
         .cell_workers(opts.jobs)
         .store(store)
         .refresh(opts.fresh)
-        .execute(&|msg| event!(Level::Info, "repro.study", {}, "  {msg}"))
-        .expect("study failed");
-    event!(
-        Level::Info,
-        "repro.study",
-        {
-            seconds: report.seconds,
-            executed: report.executed,
-            store_hits: report.store_hits
-        },
-        "study completed in {:.1}s ({} cell(s) executed, {} from store)",
-        report.seconds,
-        report.executed,
-        report.store_hits
-    );
-    report.results
+        .run()
+        .expect("study failed")
 }
 
 /// The full paper grid the generic options describe (shared by the local
@@ -403,7 +385,6 @@ fn study_config(opts: &Options) -> StudyConfig {
         plan: opts.plan(1),
         seed: opts.seed,
         threads: opts.threads,
-        checkpoint: opts.checkpoint,
         ..StudyConfig::default()
     }
 }
@@ -862,7 +843,7 @@ fn vuln(opts: &Options) {
                                 .prune_static(PruneMode::On),
                             seed: opts.seed,
                             threads: opts.threads,
-                            checkpoint: opts.checkpoint,
+                            ..CampaignConfig::default()
                         },
                     )
                     .records(true)
@@ -1183,7 +1164,7 @@ fn ablation_opt(opts: &Options) {
                     plan: opts.plan(50),
                     seed: opts.seed,
                     threads: opts.threads,
-                    checkpoint: opts.checkpoint,
+                    ..CampaignConfig::default()
                 },
             )
             .execute()
@@ -1228,7 +1209,7 @@ fn mbu(opts: &Options) {
                         plan: opts.plan(60),
                         seed: opts.seed,
                         threads: opts.threads,
-                        checkpoint: opts.checkpoint,
+                        ..CampaignConfig::default()
                     },
                 )
                 .burst_width(width)
@@ -1267,7 +1248,7 @@ fn ablation_size(opts: &Options) {
                     plan: opts.plan(50),
                     seed: opts.seed,
                     threads: opts.threads,
-                    checkpoint: opts.checkpoint,
+                    ..CampaignConfig::default()
                 },
             )
             .execute()
@@ -1329,7 +1310,7 @@ fn sampling(opts: &Options) {
                     plan: uni_plan,
                     seed: opts.seed,
                     threads: opts.threads,
-                    checkpoint: opts.checkpoint,
+                    ..CampaignConfig::default()
                 };
                 let uni = injector.run(structure, &base).execute();
                 let imp = injector

@@ -15,11 +15,11 @@
 //! 4. aggregate AVF / weighted-AVF / FIT / FPE with `softerr-analysis`.
 //!
 //! ```no_run
-//! use softerr::{Study, StudyConfig};
+//! use softerr::{Orchestrator, StudyConfig};
 //!
 //! # fn main() -> Result<(), Box<dyn std::error::Error>> {
 //! let config = StudyConfig::quick(42);
-//! let results = Study::new(config).run()?;
+//! let results = Orchestrator::new(config).run()?;
 //! for machine in results.machine_names() {
 //!     for structure in softerr::Structure::ALL {
 //!         let wavf = results.weighted_avf(&machine, softerr::OptLevel::O2, structure);
@@ -39,9 +39,7 @@ mod study;
 pub use sched::{Orchestrator, SweepReport};
 pub use serve::{run_worker, Coordinator, WorkerOptions, WorkerReport};
 pub use store::{cell_config_hash, ResultStore};
-pub use study::{
-    CellKey, CellResult, Study, StudyConfig, StudyConfigBuilder, StudyError, StudyResults,
-};
+pub use study::{CellKey, CellResult, StudyConfig, StudyError, StudyResults};
 
 // Re-export the full vocabulary so downstream users need only this crate.
 pub use softerr_analysis::{

@@ -34,9 +34,8 @@ use softerr_cc::{Compiled, OptLevel};
 use softerr_inject::{CampaignConfig, CampaignResult, Injector};
 use softerr_isa::Profile;
 use softerr_sim::MachineConfig;
-use softerr_telemetry::{event, span, Level};
+use softerr_telemetry::{event, span, Level, Sink};
 use softerr_workloads::Workload;
-use std::io::Write;
 use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
@@ -315,6 +314,11 @@ impl LeaseBoard {
 /// around it: the store-hit pass, the answers to workers' requests (the
 /// accept path verifies, saves, fills the slot and reports progress), and
 /// the [`SweepReport`].
+///
+/// Each scheduler fact is one `study.sched` event, also handed to `log`
+/// when there is one, with its kind in the `event` field: `store`,
+/// `leased`, `completed`, `rejected` and `disconnected` here, `connected`
+/// in the coordinator.
 pub(crate) struct Sweep<'a> {
     config: &'a StudyConfig,
     pub(crate) plan: Plan,
@@ -323,9 +327,9 @@ pub(crate) struct Sweep<'a> {
     /// Cells one worker may hold at once.
     pub(crate) max_inflight: usize,
     progress: &'a (dyn Fn(&str) + Sync),
-    /// Forensics JSONL, one object per line
+    /// Receives every scheduler event whatever the process-wide level
     /// ([`crate::Coordinator::progress_log`]).
-    pub(crate) log: Option<Mutex<std::fs::File>>,
+    pub(crate) log: Option<Box<dyn Sink>>,
     t0: Instant,
 }
 
@@ -385,14 +389,18 @@ impl<'a> Sweep<'a> {
             board.slots[idx] = Some(result);
             let d = board.done;
             event!(
+                to self.log.as_deref();
                 Level::Info,
                 "study.sched",
-                { cell: key.to_string(), done: d, total: total, hash: cell.hash.clone() },
+                {
+                    event: "store",
+                    cell: key.to_string(),
+                    done: d,
+                    total: total,
+                    hash: cell.hash.as_str()
+                },
                 "[{d}/{total}] {key} served from result store"
             );
-            log_line(self.log.as_ref(), || {
-                format!(r#"{{"event":"store","cell":"{key}","done":{d},"total":{total}}}"#)
-            });
             (self.progress)(&format!("[{d}/{total}] {key} (store)"));
         }
         board.done
@@ -443,17 +451,23 @@ impl<'a> Sweep<'a> {
         if granted.is_empty() {
             return Response::Wait { ms: WAIT_MS };
         }
-        let grants: Vec<LeaseGrant> = granted
-            .iter()
-            .map(|&(idx, lease, deadline_ms)| {
+        let grants = granted
+            .into_iter()
+            .map(|(idx, lease, deadline_ms)| {
                 let cell = &self.plan.cells[idx];
-                log_line(
-                    self.log.as_ref(),
-                    || format!(
-                        r#"{{"event":"leased","cell":"{}","lease":{lease},"worker":{},"deadline_ms":{deadline_ms}}}"#,
-                        cell.key,
-                        json_str(worker)
-                    ),
+                event!(
+                    to self.log.as_deref();
+                    Level::Debug,
+                    "study.sched",
+                    {
+                        event: "leased",
+                        cell: cell.key.to_string(),
+                        lease: lease,
+                        worker: worker,
+                        deadline_ms: deadline_ms
+                    },
+                    "leased {} to {worker} (lease {lease}, deadline {deadline_ms} ms)",
+                    cell.key
                 );
                 LeaseGrant {
                     lease,
@@ -463,13 +477,6 @@ impl<'a> Sweep<'a> {
                 }
             })
             .collect();
-        event!(
-            Level::Debug,
-            "study.sched",
-            { worker: worker.to_string(), granted: grants.len() },
-            "leased {} cell(s) to {worker}",
-            grants.len()
-        );
         Response::Leases { grants }
     }
 
@@ -545,11 +552,14 @@ impl<'a> Sweep<'a> {
         let elapsed = self.t0.elapsed().as_secs_f64();
         let eta = elapsed / d as f64 * (total - d) as f64;
         event!(
+            to self.log.as_deref();
             Level::Info,
             "study.sched",
             {
+                event: "completed",
                 cell: key.to_string(),
-                worker: worker.to_string(),
+                lease: lease,
+                worker: worker,
                 done: d,
                 total: total,
                 elapsed_s: elapsed,
@@ -557,56 +567,36 @@ impl<'a> Sweep<'a> {
             },
             "[{d}/{total}] {key} done by {worker} ({elapsed:.1}s elapsed, ETA {eta:.0}s)"
         );
-        log_line(self.log.as_ref(), || {
-            format!(
-                r#"{{"event":"completed","cell":"{key}","lease":{lease},"worker":{},"done":{d},"total":{total},"elapsed_s":{elapsed:?},"eta_s":{eta:?}}}"#,
-                json_str(worker)
-            )
-        });
         (self.progress)(&format!("[{d}/{total}] {key}"));
         Response::Accepted { lease }
     }
 
     fn reject(&self, worker: &str, lease: u64, reason: String) -> Response {
-        log_line(self.log.as_ref(), || {
-            format!(
-                r#"{{"event":"rejected","lease":{lease},"worker":{},"reason":{}}}"#,
-                json_str(worker),
-                json_str(&reason)
-            )
-        });
         event!(
+            to self.log.as_deref();
             Level::Warn,
             "study.sched",
-            { worker: worker.to_string(), lease: lease, reason: reason.clone() },
+            { event: "rejected", worker: worker, lease: lease, reason: reason.as_str() },
             "rejected submission from {worker}: {reason}"
         );
         Response::Rejected { lease, reason }
     }
 
-    /// Returns a departed worker's leases to the pool at once.
+    /// Returns a departed worker's leases to the pool at once (a warning
+    /// when it held any).
     pub(crate) fn release(&self, worker: &str, why: &str) {
         let released = self
             .board
             .lock()
             .expect("lease board")
             .release_worker(worker);
-        if released > 0 {
-            event!(
-                Level::Warn,
-                "study.sched",
-                { worker: worker.to_string(), released: released, why: why.to_string() },
-                "worker {worker} disconnected ({why}); {released} leased cell(s) \
-                 returned to the pool"
-            );
-        }
-        log_line(self.log.as_ref(), || {
-            format!(
-                r#"{{"event":"disconnected","worker":{},"released":{released},"why":{}}}"#,
-                json_str(worker),
-                json_str(why)
-            )
-        });
+        event!(
+            to self.log.as_deref();
+            if released > 0 { Level::Warn } else { Level::Info },
+            "study.sched",
+            { event: "disconnected", worker: worker, released: released, why: why },
+            "worker {worker} disconnected ({why}); {released} leased cell(s) returned to the pool"
+        );
     }
 
     /// Assembles the report once no worker is left: the first failure if
@@ -621,6 +611,7 @@ impl<'a> Sweep<'a> {
         let (executed, completed) = (board.executed, board.done);
         if !board.all_done() {
             event!(
+                to self.log.as_deref();
                 Level::Info,
                 "study.sched",
                 { completed: completed, total: total, executed: executed },
@@ -643,6 +634,7 @@ impl<'a> Sweep<'a> {
         let (store_misses, store_writes) = self.store.map_or((0, 0), |s| (s.misses(), s.stores()));
         if let Some(store) = self.store {
             event!(
+                to self.log.as_deref();
                 Level::Info,
                 "study.store",
                 { hits: store.hits(), misses: store_misses, stores: store_writes },
@@ -652,6 +644,7 @@ impl<'a> Sweep<'a> {
         }
         if executed == 0 && store_hits == total {
             event!(
+                to self.log.as_deref();
                 Level::Info,
                 "study.sched",
                 { cells: total, seconds: seconds },
@@ -659,6 +652,7 @@ impl<'a> Sweep<'a> {
             );
         } else {
             event!(
+                to self.log.as_deref();
                 Level::Info,
                 "study.sched",
                 {
@@ -683,19 +677,6 @@ impl<'a> Sweep<'a> {
     }
 }
 
-/// Appends one line to the forensics log, if there is one (the line is
-/// only formatted then).
-pub(crate) fn log_line(log: Option<&Mutex<std::fs::File>>, line: impl FnOnce() -> String) {
-    if let Some(log) = log {
-        let _ = writeln!(log.lock().expect("progress log"), "{}", line());
-    }
-}
-
-/// JSON string literal (quoted, escaped) for hand-rolled log lines.
-pub(crate) fn json_str(s: &str) -> String {
-    serde_json::to_string(&s.to_string()).unwrap_or_else(|_| "\"?\"".to_string())
-}
-
 /// An in-process worker's link to the board: direct calls.
 struct Direct<'s, 'a> {
     sweep: &'s Sweep<'a>,
@@ -717,7 +698,7 @@ impl Link for Direct<'_, '_> {
 /// [`crate::Coordinator::serve`] report alike).
 #[derive(Debug)]
 pub struct SweepReport {
-    /// The complete study results (identical to a serial [`crate::Study::run`]).
+    /// The complete study results (identical to a serial [`Orchestrator::run`]).
     pub results: StudyResults,
     /// Cells actually compiled/simulated/injected this invocation.
     pub executed: usize,
@@ -761,7 +742,7 @@ pub struct Orchestrator {
 
 impl Orchestrator {
     /// An orchestrator for `config`, initially serial (one cell worker),
-    /// store-less, and unbudgeted — equivalent to [`crate::Study::run`].
+    /// store-less, and unbudgeted.
     pub fn new(config: StudyConfig) -> Orchestrator {
         Orchestrator {
             config,

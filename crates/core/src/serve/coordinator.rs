@@ -18,14 +18,13 @@
 //! serial one by construction.
 
 use super::wire::{self, Request, Response, PROTOCOL_VERSION};
-use crate::sched::{json_str, log_line, Sweep, SweepReport};
+use crate::sched::{Sweep, SweepReport};
 use crate::store::ResultStore;
 use crate::study::{StudyConfig, StudyError};
-use softerr_telemetry::{event, span, Level};
+use softerr_telemetry::{event, span, JsonlSink, Level};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Mutex;
 use std::time::Duration;
 
 /// Serves a [`StudyConfig`] to remote workers over TCP and assembles the
@@ -92,8 +91,11 @@ impl Coordinator {
         self
     }
 
-    /// Streams per-event forensics JSONL (leases, submissions, rejections,
-    /// disconnects, progress/ETA) to `path`, one object per line.
+    /// Appends every `study.sched` event of the sweep to `path` as JSONL,
+    /// whatever the process-wide level: one object per line, with the
+    /// record kind in `fields.event` (`connected`, `store`, `leased`,
+    /// `completed`, `rejected`, `disconnected`), plus the serve and
+    /// completion summaries.
     pub fn progress_log(mut self, path: impl Into<PathBuf>) -> Coordinator {
         self.progress_log = Some(path.into());
         self
@@ -126,12 +128,13 @@ impl Coordinator {
                 .create(true)
                 .append(true)
                 .open(path)?;
-            sweep.log = Some(Mutex::new(file));
+            sweep.log = Some(Box::new(JsonlSink::to_writer(Box::new(file))));
         }
 
         // Store hits never go on the wire.
         let store_hits = sweep.serve_stored(self.refresh);
         event!(
+            to sweep.log.as_deref();
             Level::Info,
             "study.sched",
             {
@@ -252,14 +255,12 @@ impl ConnCtx<'_> {
                 // connection id keeps lease accounting per-connection.
                 let worker = format!("{worker}#{}", self.conn_id);
                 event!(
+                    to self.sweep.log.as_deref();
                     Level::Info,
                     "study.sched",
-                    { worker: worker.clone() },
+                    { event: "connected", worker: worker.as_str() },
                     "worker {worker} connected"
                 );
-                log_line(self.sweep.log.as_ref(), || {
-                    format!(r#"{{"event":"connected","worker":{}}}"#, json_str(&worker))
-                });
                 let welcome = Response::Welcome {
                     version: PROTOCOL_VERSION,
                     config: self.coordinator.config.clone(),

@@ -49,9 +49,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// Content hash (16 hex digits) of one study cell's full configuration:
 /// everything that can change the cell's measured result, plus the crate
 /// version so stores never leak across incompatible builds. Worker-thread
-/// count is deliberately excluded — campaigns are bit-identical across
-/// thread counts, so a store written with `--threads 8` serves a
-/// single-threaded re-run and vice versa.
+/// count and the engine (`checkpoint`) are deliberately excluded —
+/// campaigns are bit-identical across thread counts and between the
+/// checkpointed convoy and the fresh engine, so a store written with
+/// `--threads 8` serves a single-threaded re-run and vice versa.
 pub fn cell_config_hash(
     config: &StudyConfig,
     machine: &MachineConfig,
@@ -59,7 +60,7 @@ pub fn cell_config_hash(
     level: OptLevel,
 ) -> String {
     let canonical = format!(
-        "v{}|machine={:?}|workload={}|level={}|scale={}|sampler={:?}|stop={:?}|prune={:?}|seed={}|checkpoint={}|structures={:?}",
+        "v{}|machine={:?}|workload={}|level={}|scale={}|sampler={:?}|stop={:?}|prune={:?}|seed={}|structures={:?}",
         env!("CARGO_PKG_VERSION"),
         machine,
         workload,
@@ -69,7 +70,6 @@ pub fn cell_config_hash(
         config.plan.stop,
         config.plan.prune,
         config.seed,
-        config.checkpoint,
         config.structures,
     );
     format!("{:016x}", fnv1a(canonical.as_bytes()))
@@ -367,9 +367,6 @@ mod tests {
         c.seed += 1;
         assert_ne!(baseline, h(&c), "seed is keyed");
         let mut c = base.clone();
-        c.checkpoint = !c.checkpoint;
-        assert_ne!(baseline, h(&c), "checkpoint mode is keyed");
-        let mut c = base.clone();
         c.plan = base.plan.prune(softerr_inject::PruneMode::On);
         assert_ne!(baseline, h(&c), "prune mode is keyed");
         let mut c = base.clone();
@@ -400,6 +397,13 @@ mod tests {
             baseline,
             h(&c),
             "thread count must NOT be keyed: campaigns are thread-count-invariant"
+        );
+        let mut c = base.clone();
+        c.checkpoint = !c.checkpoint;
+        assert_eq!(
+            baseline,
+            h(&c),
+            "checkpoint mode must NOT be keyed: the convoy and the fresh engine agree"
         );
         assert_ne!(
             cell_config_hash(

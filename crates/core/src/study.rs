@@ -1,7 +1,7 @@
-//! Study orchestration: the full compile → simulate → inject → analyze
-//! pipeline over a (machines × workloads × levels × structures) grid.
+//! A study of the (machines × workloads × levels × structures) grid: its
+//! configuration, cell keys, errors and measured results, with the paper's
+//! metrics over them. [`crate::Orchestrator`] runs it.
 
-use crate::sched::Orchestrator;
 use serde::{Deserialize, Serialize};
 use softerr_analysis::{weighted_avf, EccScheme, StructureMeasurement};
 use softerr_cc::OptLevel;
@@ -10,7 +10,6 @@ use softerr_sim::{MachineConfig, Structure};
 use softerr_workloads::{Scale, Workload};
 use std::fmt;
 use std::path::Path;
-use std::sync::Mutex;
 
 /// Configuration of a characterization study.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
@@ -90,16 +89,6 @@ impl StudyConfig {
             * self.plan.injections()
     }
 
-    /// A builder pre-seeded with [`StudyConfig::default`], whose
-    /// [`build`](StudyConfigBuilder::build) validates the grid instead of
-    /// letting an empty axis or zero thread count surface as a confusing
-    /// downstream failure.
-    pub fn builder() -> StudyConfigBuilder {
-        StudyConfigBuilder {
-            config: StudyConfig::default(),
-        }
-    }
-
     /// Checks the configuration for degenerate values: every grid axis
     /// must be non-empty, `threads` non-zero, the sampling plan
     /// self-consistent (see [`SamplingPlan::validate`] — a margin target
@@ -131,93 +120,6 @@ impl StudyConfig {
         }
         self.plan.validate()?;
         self.machines.iter().try_for_each(MachineConfig::validate)
-    }
-}
-
-/// Validating builder for [`StudyConfig`].
-///
-/// ```
-/// use softerr::{OptLevel, SamplingPlan, StudyConfig, Workload};
-///
-/// let cfg = StudyConfig::builder()
-///     .workloads(vec![Workload::Qsort])
-///     .levels(vec![OptLevel::O0, OptLevel::O2])
-///     .plan(SamplingPlan::fixed(50))
-///     .seed(7)
-///     .build()
-///     .expect("non-degenerate grid");
-/// assert_eq!(cfg.total_injections(), 2 * 1 * 2 * 15 * 50);
-/// assert!(StudyConfig::builder().workloads(vec![]).build().is_err());
-/// ```
-#[derive(Debug, Clone)]
-pub struct StudyConfigBuilder {
-    config: StudyConfig,
-}
-
-impl StudyConfigBuilder {
-    /// Machines to evaluate.
-    pub fn machines(mut self, machines: Vec<MachineConfig>) -> StudyConfigBuilder {
-        self.config.machines = machines;
-        self
-    }
-
-    /// Benchmarks to run.
-    pub fn workloads(mut self, workloads: Vec<Workload>) -> StudyConfigBuilder {
-        self.config.workloads = workloads;
-        self
-    }
-
-    /// Optimization levels to sweep.
-    pub fn levels(mut self, levels: Vec<OptLevel>) -> StudyConfigBuilder {
-        self.config.levels = levels;
-        self
-    }
-
-    /// Structure fields to inject into.
-    pub fn structures(mut self, structures: Vec<Structure>) -> StudyConfigBuilder {
-        self.config.structures = structures;
-        self
-    }
-
-    /// Workload input scale.
-    pub fn scale(mut self, scale: Scale) -> StudyConfigBuilder {
-        self.config.scale = scale;
-        self
-    }
-
-    /// Per-cell sampling plan (distribution, stopping rule, prune policy).
-    pub fn plan(mut self, plan: SamplingPlan) -> StudyConfigBuilder {
-        self.config.plan = plan;
-        self
-    }
-
-    /// Campaign RNG seed.
-    pub fn seed(mut self, seed: u64) -> StudyConfigBuilder {
-        self.config.seed = seed;
-        self
-    }
-
-    /// Worker threads per campaign.
-    pub fn threads(mut self, threads: usize) -> StudyConfigBuilder {
-        self.config.threads = threads;
-        self
-    }
-
-    /// Golden-prefix checkpointing per campaign.
-    pub fn checkpoint(mut self, checkpoint: bool) -> StudyConfigBuilder {
-        self.config.checkpoint = checkpoint;
-        self
-    }
-
-    /// Validates and returns the configuration.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError::Config`] for an empty grid axis or `threads == 0`
-    /// (see [`StudyConfig::validate`]).
-    pub fn build(self) -> Result<StudyConfig, StudyError> {
-        self.config.validate().map_err(StudyError::Config)?;
-        Ok(self.config)
     }
 }
 
@@ -286,7 +188,7 @@ pub enum StudyError {
     Format(serde_json::Error),
     /// A budgeted sweep stopped before measuring every cell; completed
     /// cells are already persisted, so re-running resumes where it left
-    /// off (see [`Orchestrator::cell_budget`]).
+    /// off (see [`crate::Orchestrator::cell_budget`]).
     Incomplete {
         /// Cells measured (executed or store-served) before the budget ran out.
         completed: usize,
@@ -323,55 +225,6 @@ impl From<std::io::Error> for StudyError {
 impl From<serde_json::Error> for StudyError {
     fn from(e: serde_json::Error) -> StudyError {
         StudyError::Format(e)
-    }
-}
-
-/// A configured study, ready to run.
-#[derive(Debug, Clone)]
-pub struct Study {
-    config: StudyConfig,
-}
-
-impl Study {
-    /// Creates a study from a configuration.
-    pub fn new(config: StudyConfig) -> Study {
-        Study { config }
-    }
-
-    /// The configuration.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
-    /// Runs the full grid serially. A thin wrapper over a one-worker
-    /// [`Orchestrator`]; use the orchestrator directly for cell
-    /// parallelism, a result store, or budgeted/resumable sweeps.
-    ///
-    /// # Errors
-    ///
-    /// [`StudyError`] if the configuration is degenerate or any workload
-    /// fails to compile or to complete its fault-free run.
-    pub fn run(&self) -> Result<StudyResults, StudyError> {
-        self.run_with_progress(|_| {})
-    }
-
-    /// Runs the full grid serially, reporting each completed cell to
-    /// `progress` as `[done/total] machine/workload/level`.
-    ///
-    /// # Errors
-    ///
-    /// As for [`Study::run`].
-    pub fn run_with_progress(
-        &self,
-        mut progress: impl FnMut(&str) + Send,
-    ) -> Result<StudyResults, StudyError> {
-        // The orchestrator's callback is shared across cell workers and so
-        // must be `Fn + Sync`; with one worker the Mutex is uncontended and
-        // keeps this signature caller-friendly (`FnMut`).
-        let progress: Mutex<&mut (dyn FnMut(&str) + Send)> = Mutex::new(&mut progress);
-        Orchestrator::new(self.config.clone())
-            .execute(&|msg| (progress.lock().expect("progress callback"))(msg))
-            .map(|report| report.results)
     }
 }
 
@@ -612,29 +465,42 @@ mod tests {
     #[test]
     fn builder_rejects_nonsense_plans() {
         use softerr_inject::SamplerKind;
-        assert!(matches!(
-            StudyConfig::builder()
-                .plan(SamplingPlan::adaptive(0.0, 100))
-                .build(),
-            Err(StudyError::Config(_))
-        ));
-        assert!(matches!(
-            StudyConfig::builder()
-                .plan(
-                    SamplingPlan::fixed(10)
-                        .sampler(SamplerKind::Importance)
-                        .prune(PruneMode::Verify)
-                )
-                .build(),
-            Err(StudyError::Config(_))
-        ));
-        assert!(StudyConfig::builder()
-            .plan(
-                SamplingPlan::fixed(10)
-                    .sampler(SamplerKind::Importance)
-                    .prune(PruneMode::On)
-            )
-            .build()
-            .is_ok());
+        let cfg = StudyConfig {
+            workloads: vec![Workload::Qsort],
+            levels: vec![OptLevel::O0, OptLevel::O2],
+            plan: SamplingPlan::fixed(50),
+            seed: 7,
+            ..StudyConfig::default()
+        };
+        assert!(cfg.validate().is_ok());
+        // 2 machines × 1 workload × 2 levels × 15 structures × 50.
+        assert_eq!(cfg.total_injections(), 2 * 2 * 15 * 50);
+        let with_plan = |plan| StudyConfig {
+            plan,
+            ..StudyConfig::default()
+        };
+        assert!(StudyConfig {
+            workloads: vec![],
+            ..StudyConfig::default()
+        }
+        .validate()
+        .is_err());
+        assert!(with_plan(SamplingPlan::adaptive(0.0, 100))
+            .validate()
+            .is_err());
+        assert!(with_plan(
+            SamplingPlan::fixed(10)
+                .sampler(SamplerKind::Importance)
+                .prune(PruneMode::Verify)
+        )
+        .validate()
+        .is_err());
+        assert!(with_plan(
+            SamplingPlan::fixed(10)
+                .sampler(SamplerKind::Importance)
+                .prune(PruneMode::On)
+        )
+        .validate()
+        .is_ok());
     }
 }

@@ -952,6 +952,9 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
             cell.record("structure", structure.name());
         }
         let planned: Vec<Planned> = self.structures.iter().map(|&s| self.plan(s)).collect();
+        if let Some(observer) = self.observer {
+            observer.faults_planned(planned.iter().map(|p| p.faults.len() as u64).sum());
+        }
         let survivors: Vec<FaultSpec> = planned.iter().flat_map(Planned::survivors).collect();
         let mut outcomes = self.classify(&survivors).into_iter();
         planned
@@ -2644,6 +2647,28 @@ mod tests {
             .execute()
             .result;
         assert_eq!(observed, result, "observed and forensic runs agree");
+    }
+
+    #[test]
+    fn observer_learns_the_planned_fault_count() {
+        // Adaptive sampling grows past its batch: the progress total must
+        // follow the faults actually drawn, not the batch size.
+        let (cfg, program) = setup();
+        let inj = Injector::new(&cfg, &program).unwrap();
+        let cc = CampaignConfig {
+            plan: SamplingPlan::adaptive(0.1, 25),
+            seed: 3,
+            ..CampaignConfig::default()
+        };
+        let progress = crate::ProgressLine::with_activity("rf", 25, false);
+        let result = inj
+            .run(Structure::RegFile, &cc)
+            .observer(&progress)
+            .execute()
+            .result;
+        assert!(result.total() > 25, "the campaign grew past one batch");
+        assert_eq!(progress.total(), result.total());
+        assert_eq!(progress.snapshot().0, result.total());
     }
 
     #[test]

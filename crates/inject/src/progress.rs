@@ -17,6 +17,11 @@ use std::time::Instant;
 /// is made (from whichever worker thread made it — implementations must be
 /// thread-safe).
 pub trait CampaignObserver: Sync {
+    /// The campaign will classify `faults` faults: called once sampling is
+    /// done (after adaptive growth and population caps), before the first
+    /// classification.
+    fn faults_planned(&self, faults: u64);
+
     /// One fault was classified.
     fn fault_classified(&self, class: FaultClass);
 }
@@ -34,7 +39,8 @@ const RENDER_INTERVAL_US: u64 = 100_000;
 /// printing final results.
 pub struct ProgressLine {
     label: String,
-    total: u64,
+    /// Expected faults, replaced by the engine's planned count.
+    total: AtomicU64,
     start: Instant,
     done: AtomicU64,
     tallies: [AtomicU64; 5],
@@ -46,7 +52,8 @@ pub struct ProgressLine {
 
 impl ProgressLine {
     /// A progress line labelled `label` (typically the structure name) for
-    /// `total` expected faults, active only when stderr is a terminal.
+    /// `total` expected faults until the engine reports its planned count,
+    /// active only when stderr is a terminal.
     pub fn new(label: &str, total: u64) -> ProgressLine {
         ProgressLine::with_activity(label, total, std::io::stderr().is_terminal())
     }
@@ -56,13 +63,18 @@ impl ProgressLine {
     pub fn with_activity(label: &str, total: u64, active: bool) -> ProgressLine {
         ProgressLine {
             label: label.to_string(),
-            total,
+            total: AtomicU64::new(total),
             start: Instant::now(),
             done: AtomicU64::new(0),
             tallies: std::array::from_fn(|_| AtomicU64::new(0)),
             last_render_us: AtomicU64::new(0),
             active,
         }
+    }
+
+    /// The faults the campaign is expected to classify.
+    pub fn total(&self) -> u64 {
+        self.total.load(Ordering::Relaxed)
     }
 
     /// Faults classified so far and their per-class tallies.
@@ -98,7 +110,8 @@ impl ProgressLine {
 
     fn render(&self, done: u64) {
         let (_, counts) = self.snapshot();
-        let (rate, eta) = rate_and_eta(done, self.total, self.start.elapsed().as_secs_f64());
+        let total = self.total();
+        let (rate, eta) = rate_and_eta(done, total, self.start.elapsed().as_secs_f64());
         let mut err = std::io::stderr().lock();
         let _ = write!(
             err,
@@ -106,7 +119,7 @@ impl ProgressLine {
             "",
             self.label,
             done,
-            self.total,
+            total,
             counts.masked,
             counts.sdc,
             counts.crash,
@@ -146,6 +159,10 @@ fn rate_and_eta(done: u64, total: u64, elapsed_s: f64) -> (String, String) {
 }
 
 impl CampaignObserver for ProgressLine {
+    fn faults_planned(&self, faults: u64) {
+        self.total.store(faults, Ordering::Relaxed);
+    }
+
     fn fault_classified(&self, class: FaultClass) {
         self.tallies[class as usize].fetch_add(1, Ordering::Relaxed);
         let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -154,7 +171,7 @@ impl CampaignObserver for ProgressLine {
         }
         let now_us = self.start.elapsed().as_micros() as u64;
         let last = self.last_render_us.load(Ordering::Relaxed);
-        let due = now_us.saturating_sub(last) >= RENDER_INTERVAL_US || done == self.total;
+        let due = now_us.saturating_sub(last) >= RENDER_INTERVAL_US || done == self.total();
         if !due {
             return;
         }

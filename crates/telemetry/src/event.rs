@@ -198,24 +198,39 @@ pub fn emit(event: Event) {
     }
 }
 
+/// The [`event!`](crate::event!) macro's entry point: hands `event` to
+/// `extra`, whatever the level, then to [`emit`].
+#[doc(hidden)]
+pub fn emit_event(extra: Option<&dyn Sink>, event: Event) {
+    if let Some(sink) = extra {
+        sink.emit(&event);
+    }
+    emit(event);
+}
+
 /// Emits a structured event.
 ///
 /// ```
-/// use softerr_telemetry::{event, Level};
+/// use softerr_telemetry::{event, JsonlSink, Level, Sink};
 /// event!(Level::Warn, "inject.campaign", { slot: 7_usize, width: 1_u8 },
 ///        "simulator panicked on slot {}", 7);
 /// event!(Level::Info, "bench.repro", {}, "study complete");
+/// // `to SINK;` also hands the event to an extra `Option<&dyn Sink>`,
+/// // whatever the process-wide level.
+/// let log = JsonlSink::to_writer(Box::new(std::io::sink()));
+/// event!(to Some(&log as &dyn Sink); Level::Debug, "study.sched", { lease: 3_u64 }, "granted");
 /// ```
 ///
 /// The field block takes `name: value` pairs where every value converts
 /// via [`FieldValue::from`]. Nothing — not even the message — is formatted
-/// unless the level is enabled.
+/// unless the level is enabled or an extra sink is given.
 #[macro_export]
 macro_rules! event {
-    ($level:expr, $target:expr, { $($key:ident : $val:expr),* $(,)? }, $($fmt:tt)+) => {{
+    (to $sink:expr; $level:expr, $target:expr, { $($key:ident : $val:expr),* $(,)? }, $($fmt:tt)+) => {{
         let level = $level;
-        if $crate::enabled(level) {
-            $crate::emit_event($crate::Event {
+        let sink: ::std::option::Option<&dyn $crate::Sink> = $sink;
+        if sink.is_some() || $crate::enabled(level) {
+            $crate::emit_event(sink, $crate::Event {
                 level,
                 target: $target,
                 message: ::std::format!($($fmt)+),
@@ -225,12 +240,10 @@ macro_rules! event {
             });
         }
     }};
+    ($level:expr, $target:expr, { $($key:ident : $val:expr),* $(,)? }, $($fmt:tt)+) => {
+        $crate::event!(to ::std::option::Option::None; $level, $target, { $($key: $val),* }, $($fmt)+)
+    };
 }
-
-// The macro needs a root-path callable; `event::emit` is re-exported under
-// this name so `$crate::emit_event` resolves from any downstream crate.
-#[doc(hidden)]
-pub use self::emit as emit_event;
 
 /// Human-readable sink: `warning:`-style lines on stderr. Errors and
 /// warnings carry a severity prefix; info and below print bare (they are
@@ -401,6 +414,27 @@ mod tests {
         assert!(line.contains("\"target\":\"inject.campaign\""));
         assert!(line.contains("\"slot\":3"));
         assert!(!line.contains('\n'), "JSONL events must be single lines");
+    }
+
+    #[test]
+    fn an_extra_sink_sees_events_whatever_the_level() {
+        with_capture(None, |cap| {
+            let extra = CaptureSink::new();
+            event!(to Some(&extra as &dyn Sink); Level::Debug, "t", { lease: 4_u64 }, "granted");
+            event!(to None; Level::Debug, "t", {}, "dropped");
+            assert!(
+                cap.events().is_empty(),
+                "the process-wide level still gates"
+            );
+            let seen = extra.events();
+            assert_eq!(seen.len(), 1);
+            assert_eq!(seen[0].fields, vec![("lease", FieldValue::U64(4))]);
+        });
+        with_capture(Some(Level::Info), |cap| {
+            let extra = CaptureSink::new();
+            event!(to Some(&extra as &dyn Sink); Level::Info, "t", {}, "both");
+            assert_eq!((cap.events().len(), extra.events().len()), (1, 1));
+        });
     }
 
     #[test]

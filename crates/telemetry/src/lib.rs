@@ -9,7 +9,8 @@
 //!   sinks — a human-readable stderr sink by default, a JSONL sink for
 //!   machine consumption, and a capture sink for tests. Emission is gated
 //!   by a single relaxed atomic load, so disabled levels cost nothing and
-//!   campaigns stay fast;
+//!   campaigns stay fast; `event!(to SINK; …)` also hands an event to an
+//!   extra sink (a coordinator's progress log) whatever the level;
 //! * a span-based **tracing layer** ([`span`], [`Span`], [`take_trace`])
 //!   recording named, timed, thread-aware stages into per-thread ring
 //!   buffers, exportable as Chrome trace-event JSON (Perfetto-loadable) or

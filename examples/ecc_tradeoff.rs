@@ -5,7 +5,7 @@
 //! cargo run --release -p softerr --example ecc_tradeoff
 //! ```
 
-use softerr::{EccScheme, OptLevel, SamplingPlan, Study, StudyConfig, Table, Workload};
+use softerr::{EccScheme, OptLevel, Orchestrator, SamplingPlan, StudyConfig, Table, Workload};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // A one-workload study keeps this example fast; the `repro` harness in
@@ -17,7 +17,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         ..StudyConfig::default()
     };
     println!("running {} injections...\n", config.total_injections());
-    let results = Study::new(config).run()?;
+    let results = Orchestrator::new(config).run()?;
 
     for machine in results.machine_names() {
         println!("== {machine}");

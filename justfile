@@ -45,53 +45,42 @@ forensics:
         --structure rf -n 200 --threads 2 \
         --records target/forensics-records.jsonl --metrics
 
-# Prune self-check: quick campaigns in `--prune verify` mode, which
-# re-simulates every fault the liveness pruner would skip and panics if
-# any of them simulates as non-Masked. One sparse structure (high prune
-# rate) and one busy one, on both paper machines.
-prune-check:
+# Verify-mode self-check: every optimization layer against its oracle.
+# * The copy-on-write forking equivalence net.
+# * `--prune verify` campaigns re-simulate every fault the liveness pruner
+#   would skip and panic if any simulates as non-Masked: one sparse
+#   structure (rf, high prune rate) and one busy one (rob.pc), then the
+#   L1D arrays, whose forks used to be the most expensive, on both paper
+#   machines, so a chunk-sharing bug that leaked state between convoy
+#   children cannot pass.
+# * `--prune-static verify` RF campaigns do the same for the compiler's
+#   static bit-demand analysis; sha and blowfish carry the highest
+#   statically-masked bit fractions (shift/mask-heavy u32 code).
+# * `--sampler importance/verify` campaigns rerun a uniform campaign at the
+#   achieved reweighted margin and panic unless the two AVF estimates
+#   agree within their combined margins: l1i.data (the live-and-demanded
+#   subpopulation is ~1-2% of the sites, so the weight does the most
+#   work) and the register file.
+verify-check:
+    cargo test -p softerr --release -q --test cow_equivalence
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a15 --workload qsort --level O2 --structure rf \
         -n 200 --prune verify
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a72 --workload sha --level O2 --structure rob.pc \
         -n 200 --prune verify
-
-# COW self-check: the copy-on-write forking equivalence net plus verify-mode
-# campaigns on both machines over the structure whose forks used to be the
-# most expensive (the L1D arrays). `--prune verify` re-simulates every
-# prunable fault through the COW convoy and panics on any mismatch, so a
-# chunk-sharing bug that leaked state between children cannot pass.
-cow-check:
-    cargo test -p softerr --release -q --test cow_equivalence
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a15 --workload qsort --level O2 --structure l1d.data \
         -n 200 --prune verify
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a72 --workload qsort --level O2 --structure l1d.data \
         -n 200 --prune verify
-
-# Static-prune self-check: RF campaigns in `--prune-static verify` mode on
-# both paper machines, which re-simulates every fault the compiler's static
-# bit-demand analysis would skip and panics if any of them simulates as
-# non-Masked. sha and blowfish carry the highest statically-masked bit
-# fractions (shift/mask-heavy u32 code), so they exercise the most
-# annotated writebacks per campaign.
-static-check:
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a15 --workload blowfish --level O2 --structure rf \
         -n 200 --prune-static verify
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a72 --workload sha --level O2 --structure rf \
         -n 200 --prune-static verify
-
-# Sampling self-check: importance campaigns in `--sampler importance/verify`
-# mode on both paper machines, which rerun a uniform campaign at the
-# achieved reweighted margin and panic unless the two AVF estimates agree
-# within their combined margins. One sparse structure (l1i.data, where the
-# live-and-demanded subpopulation is ~1-2% of the sites, so the weight does
-# the most work) and the register file.
-sampling-check:
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a15 --workload qsort --level O2 --structure l1i.data \
         --target-margin 0.1 -n 25 --sampler importance/verify
@@ -167,4 +156,4 @@ studybench-check:
     cargo test --manifest-path studybench/Cargo.toml
 
 # Everything the CI gate requires.
-ci: test lint lint-ir prune-check static-check cow-check sampling-check serve-check studybench-check bench-gate
+ci: test lint lint-ir verify-check serve-check studybench-check bench-gate

@@ -6,6 +6,7 @@
 //! `StudyConfig` on both paper machines — and a worker that dies holding
 //! leases must cost wall-clock time only, never cells or correctness.
 
+use serde::{obj_get, Value};
 use softerr::serve::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
 use softerr::{
     cell_config_hash, CellKey, Coordinator, MachineConfig, OptLevel, Orchestrator, ResultStore,
@@ -163,6 +164,119 @@ fn coordinator_with_two_workers_matches_serial_bit_for_bit() {
 
     std::fs::remove_dir_all(&serial_dir).ok();
     std::fs::remove_dir_all(&dist_dir).ok();
+}
+
+/// The fields of the log records of one kind (`fields.event`).
+fn records_of<'r>(records: &'r [Value], kind: &str) -> Vec<&'r Value> {
+    let kind = Value::Str(kind.to_string());
+    records
+        .iter()
+        .map(|r| obj_get(r, "fields").expect("every record has fields"))
+        .filter(|f| obj_get(f, "event").ok() == Some(&kind))
+        .collect()
+}
+
+/// `fields[name]` as a string.
+fn text<'r>(fields: &'r Value, name: &str) -> &'r str {
+    match obj_get(fields, name) {
+        Ok(Value::Str(s)) => s,
+        other => panic!("field {name} is not a string: {other:?}"),
+    }
+}
+
+/// `fields[name]` as an unsigned integer.
+fn number(fields: &Value, name: &str) -> u64 {
+    match obj_get(fields, name) {
+        Ok(Value::U64(n)) => *n,
+        other => panic!("field {name} is not a count: {other:?}"),
+    }
+}
+
+/// The coordinator's progress log is a JSONL sink of the scheduler's
+/// events: every line parses even when a cell key needs escaping, and each
+/// scheduler fact is recorded exactly once.
+#[test]
+fn progress_log_records_each_scheduler_fact_once() {
+    let mut cfg = StudyConfig {
+        machines: vec![MachineConfig::cortex_a15()],
+        structures: vec![Structure::RegFile],
+        plan: SamplingPlan::fixed(2),
+        ..tiny_config(82)
+    };
+    cfg.machines[0].name = r#"A15 "lab" \ rack"#.to_string();
+    let cells: Vec<String> = Orchestrator::new(cfg.clone())
+        .plan()
+        .iter()
+        .map(CellKey::to_string)
+        .collect();
+    let dir = temp_dir("log");
+    let log = dir.join("progress.jsonl");
+    let read_log = || -> Vec<Value> {
+        std::fs::read_to_string(&log)
+            .expect("progress log")
+            .lines()
+            .map(|line| {
+                serde_json::from_str(line).unwrap_or_else(|e| panic!("not JSON ({e}): {line}"))
+            })
+            .collect()
+    };
+    let workers = ["w0", "w1"].map(|name| WorkerOptions {
+        name: name.into(),
+        ..WorkerOptions::default()
+    });
+    let (cold, _) = distributed_run(&cfg, &dir, 60_000, workers.to_vec());
+    assert_eq!(cold.executed, cells.len());
+    let records = read_log();
+
+    let completed = records_of(&records, "completed");
+    let leased = records_of(&records, "leased");
+    assert_eq!(completed.len(), cells.len(), "one completion per cell");
+    assert_eq!(leased.len(), cells.len(), "one grant per cell");
+    for cell in &cells {
+        let done: Vec<_> = completed
+            .iter()
+            .filter(|f| text(f, "cell") == cell)
+            .collect();
+        let grant: Vec<_> = leased.iter().filter(|f| text(f, "cell") == cell).collect();
+        assert_eq!((done.len(), grant.len()), (1, 1), "{cell}");
+        let (done, grant) = (done[0], grant[0]);
+        assert!(text(done, "worker").starts_with('w'));
+        assert_eq!(number(done, "lease"), number(grant, "lease"), "{cell}");
+        assert!(number(done, "done") >= 1);
+        assert_eq!(number(done, "total"), cells.len() as u64);
+        assert_eq!(text(grant, "worker"), text(done, "worker"));
+        assert!(number(grant, "deadline_ms") >= 60_000);
+    }
+    let connected = records_of(&records, "connected");
+    let disconnected = records_of(&records, "disconnected");
+    assert_eq!(connected.len(), 2, "one connect per worker");
+    assert_eq!(disconnected.len(), 2, "one disconnect per worker");
+    for fields in &connected {
+        let worker = text(fields, "worker");
+        let gone: Vec<_> = disconnected
+            .iter()
+            .filter(|f| text(f, "worker") == worker)
+            .collect();
+        assert_eq!(gone.len(), 1, "{worker}");
+        assert_eq!(
+            number(gone[0], "released"),
+            0,
+            "{worker} said Bye empty-handed"
+        );
+    }
+
+    // The warm pass appends one store record per cell and nothing leased.
+    let (warm, _) = distributed_run(&cfg, &dir, 60_000, vec![]);
+    assert_eq!(warm.store_hits, cells.len());
+    let records = read_log()[records.len()..].to_vec();
+    let stored = records_of(&records, "store");
+    for cell in &cells {
+        let hits = stored.iter().filter(|f| text(f, "cell") == cell).count();
+        assert_eq!(hits, 1, "{cell}");
+    }
+    assert_eq!(stored.len(), cells.len());
+    assert!(records_of(&records, "leased").is_empty());
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

@@ -2,9 +2,10 @@
 //! facade: grid execution, metric invariants, and result persistence.
 
 use softerr::{
-    EccScheme, FaultClass, OptLevel, SamplingPlan, Scale, Structure, Study, StudyConfig,
+    EccScheme, FaultClass, OptLevel, Orchestrator, SamplingPlan, Scale, Structure, StudyConfig,
     StudyResults, Workload,
 };
+use std::sync::Mutex;
 
 /// One shared study for the whole test binary (campaigns are expensive).
 fn small_study() -> &'static StudyResults {
@@ -20,7 +21,7 @@ fn small_study() -> &'static StudyResults {
             threads: 1,
             ..StudyConfig::default()
         };
-        Study::new(config).run().expect("study failed")
+        Orchestrator::new(config).run().expect("study failed")
     })
 }
 
@@ -156,7 +157,7 @@ fn studies_are_reproducible() {
             seed: 777,
             ..StudyConfig::default()
         };
-        Study::new(config).run().unwrap()
+        Orchestrator::new(config).run().unwrap()
     };
     assert_eq!(mk(), mk());
 }
@@ -171,10 +172,11 @@ fn progress_callback_reports_each_cell() {
         seed: 3,
         ..StudyConfig::default()
     };
-    let mut messages = Vec::new();
-    Study::new(config)
-        .run_with_progress(|m| messages.push(m.to_string()))
+    let messages = Mutex::new(Vec::new());
+    Orchestrator::new(config)
+        .execute(&|m| messages.lock().unwrap().push(m.to_string()))
         .unwrap();
+    let messages = messages.into_inner().unwrap();
     assert_eq!(messages.len(), 2, "one message per (machine × cell)");
     assert!(messages[0].contains("patricia"));
 }
