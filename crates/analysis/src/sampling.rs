@@ -49,8 +49,8 @@ impl SamplingCell {
     }
 
     /// Whether the two estimates agree within their combined margins —
-    /// the same acceptance predicate the `importance/verify` sampler
-    /// enforces at campaign level.
+    /// the same acceptance predicate an importance campaign under
+    /// `prune = verify` enforces at campaign level.
     pub fn agrees(&self) -> bool {
         (self.uniform_avf - self.importance_avf).abs()
             <= self.uniform_margin + self.importance_margin

@@ -33,11 +33,14 @@
 //! * `--metrics` — run the golden execution once more with the simulator's
 //!   microarchitectural counters enabled and print them next to the AVF
 //!   table;
-//! * `--sampler uniform|importance|importance/verify` — sampling
-//!   distribution: `importance` draws only live-and-demanded fault sites
-//!   and reweights the estimates (Horvitz–Thompson), `importance/verify`
-//!   additionally re-runs a uniform campaign to the same achieved margin
-//!   and panics unless the two AVF estimates agree;
+//! * `--sampler uniform|importance` — sampling distribution: `importance`
+//!   draws only live-and-demanded fault sites and reweights the estimates
+//!   (Horvitz–Thompson);
+//! * `--prune verify` / `--prune-static verify` — prune as `on`, then
+//!   re-classify every fault on the fresh engine and panic on the first
+//!   disagreement; under `--sampler importance` also re-run a uniform
+//!   campaign to the same achieved margin and panic unless the two AVF
+//!   estimates agree;
 //! * `--quiet` — suppress warning events and the progress line;
 //! * `--log-json` — emit warning events as JSONL on stderr instead of
 //!   human-readable text.
@@ -349,7 +352,7 @@ fn main() {
                  \x20              [--structure NAME] [--scale tiny|small|full]\n\
                  \x20              [-n COUNT] [--seed N] [--threads N]\n\
                  \x20              [--prune off|on|verify] [--prune-static off|on|verify]\n\
-                 \x20              [--target-margin F] [--sampler uniform|importance|importance/verify]\n\
+                 \x20              [--target-margin F] [--sampler uniform|importance]\n\
                  \x20              [--estimate ace] [--records FILE] [--trace FILE] [--profile]\n\
                  \x20              [--propagation EVERY[/ONE_IN]] [--metrics] [--quiet]\n\
                  \x20              [--log-json]"
@@ -514,35 +517,32 @@ fn main() {
     if args.sampler.is_importance() {
         println!(
             "(sampler={}: faults drawn from the live-and-demanded subpopulation only; \
-             AVF and margins Horvitz-Thompson-reweighted by each structure's weight{})",
+             AVF and margins Horvitz-Thompson-reweighted by each structure's weight)",
             args.sampler,
-            if args.sampler == SamplerKind::ImportanceVerify {
-                "; cross-checked against a uniform campaign at the achieved margin"
-            } else {
-                ""
-            }
         );
     }
     if args.prune != PruneMode::Off {
         println!(
-            "(prune={}: faults outside every golden-run live window classify as Masked{})",
+            "(prune={}: faults outside every golden-run live window classify as Masked \
+             without simulating)",
             args.prune,
-            if args.prune == PruneMode::Verify {
-                ", then re-simulate to assert the verdict"
-            } else {
-                " without simulating"
-            }
         );
     }
     if args.prune_static != PruneMode::Off {
         println!(
             "(prune_static={}: faults in statically-dead bits of every covering RF window \
-             classify as Masked{})",
+             classify as Masked without simulating)",
             args.prune_static,
-            if args.prune_static == PruneMode::Verify {
-                ", then re-simulate to assert the verdict"
+        );
+    }
+    if plan.prune.any_verify() {
+        println!(
+            "(verified: every fault re-classified on the fresh engine with nothing pruned{}; \
+             sims counts the unpruned faults only)",
+            if args.sampler.is_importance() {
+                ", and the AVF cross-checked against a uniform campaign at the achieved margin"
             } else {
-                " without simulating"
+                ""
             }
         );
     }

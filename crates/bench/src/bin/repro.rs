@@ -46,46 +46,6 @@ fn main() {
     match command.as_str() {
         "table1" => table1(),
         "fig1" => fig1(&opts),
-        "fig2" => avf_figure(
-            &opts,
-            "Fig 2: L1 Instruction Cache AVF",
-            &[Structure::L1IData, Structure::L1ITag],
-        ),
-        "fig3" => avf_figure(
-            &opts,
-            "Fig 3: L1 Data Cache AVF",
-            &[Structure::L1DData, Structure::L1DTag],
-        ),
-        "fig4" => avf_figure(
-            &opts,
-            "Fig 4: L2 Cache AVF",
-            &[Structure::L2Data, Structure::L2Tag],
-        ),
-        "fig5" => avf_figure(
-            &opts,
-            "Fig 5: Physical Register File AVF",
-            &[Structure::RegFile],
-        ),
-        "fig6" => avf_figure(
-            &opts,
-            "Fig 6: Load Queue and Store Queue AVF",
-            &[Structure::LoadQueue, Structure::StoreQueue],
-        ),
-        "fig7" => avf_figure(
-            &opts,
-            "Fig 7: Issue Queue AVF (source field)",
-            &[Structure::IqSrc, Structure::IqDest],
-        ),
-        "fig8" => avf_figure(
-            &opts,
-            "Fig 8: Reorder Buffer AVF (PC field)",
-            &[
-                Structure::RobPc,
-                Structure::RobDest,
-                Structure::RobSeq,
-                Structure::RobFlags,
-            ],
-        ),
         "fig9" => fig9(&opts),
         "fig10" => fig10(&opts),
         "fig11" => fig11(&opts),
@@ -101,58 +61,69 @@ fn main() {
         "all" => {
             table1();
             fig1(&opts);
-            avf_figure(
-                &opts,
-                "Fig 2: L1 Instruction Cache AVF",
-                &[Structure::L1IData, Structure::L1ITag],
-            );
-            avf_figure(
-                &opts,
-                "Fig 3: L1 Data Cache AVF",
-                &[Structure::L1DData, Structure::L1DTag],
-            );
-            avf_figure(
-                &opts,
-                "Fig 4: L2 Cache AVF",
-                &[Structure::L2Data, Structure::L2Tag],
-            );
-            avf_figure(
-                &opts,
-                "Fig 5: Physical Register File AVF",
-                &[Structure::RegFile],
-            );
-            avf_figure(
-                &opts,
-                "Fig 6: Load Queue and Store Queue AVF",
-                &[Structure::LoadQueue, Structure::StoreQueue],
-            );
-            avf_figure(
-                &opts,
-                "Fig 7: Issue Queue AVF (source field)",
-                &[Structure::IqSrc, Structure::IqDest],
-            );
-            avf_figure(
-                &opts,
-                "Fig 8: Reorder Buffer AVF (PC field)",
-                &[
-                    Structure::RobPc,
-                    Structure::RobDest,
-                    Structure::RobSeq,
-                    Structure::RobFlags,
-                ],
-            );
+            for (_, title, structures) in AVF_FIGURES {
+                avf_figure(&opts, title, structures);
+            }
             fig9(&opts);
             fig10(&opts);
             fig11(&opts);
             fig12(&opts);
         }
-        other => {
-            eprintln!("unknown command `{other}`\n");
-            usage();
-            std::process::exit(1);
-        }
+        other => match AVF_FIGURES.iter().find(|(name, ..)| *name == other) {
+            Some((_, title, structures)) => avf_figure(&opts, title, structures),
+            None => {
+                eprintln!("unknown command `{other}`\n");
+                usage();
+                std::process::exit(1);
+            }
+        },
     }
 }
+
+/// The per-structure AVF figures (paper Figs 2-8): command, title and the
+/// structures each plots.
+const AVF_FIGURES: [(&str, &str, &[Structure]); 7] = [
+    (
+        "fig2",
+        "Fig 2: L1 Instruction Cache AVF",
+        &[Structure::L1IData, Structure::L1ITag],
+    ),
+    (
+        "fig3",
+        "Fig 3: L1 Data Cache AVF",
+        &[Structure::L1DData, Structure::L1DTag],
+    ),
+    (
+        "fig4",
+        "Fig 4: L2 Cache AVF",
+        &[Structure::L2Data, Structure::L2Tag],
+    ),
+    (
+        "fig5",
+        "Fig 5: Physical Register File AVF",
+        &[Structure::RegFile],
+    ),
+    (
+        "fig6",
+        "Fig 6: Load Queue and Store Queue AVF",
+        &[Structure::LoadQueue, Structure::StoreQueue],
+    ),
+    (
+        "fig7",
+        "Fig 7: Issue Queue AVF (source field)",
+        &[Structure::IqSrc, Structure::IqDest],
+    ),
+    (
+        "fig8",
+        "Fig 8: Reorder Buffer AVF (PC field)",
+        &[
+            Structure::RobPc,
+            Structure::RobDest,
+            Structure::RobSeq,
+            Structure::RobFlags,
+        ],
+    ),
+];
 
 fn usage() {
     eprintln!("repro — regenerate the paper's tables and figures\n");
@@ -188,12 +159,15 @@ fn usage() {
     eprintln!("  --threads N                   worker threads per campaign (default 1)");
     eprintln!("  --jobs N                      concurrent study cells (default 1; 0 = all cores)");
     eprintln!("  --prune off|on|verify         skip provably-masked faults via golden-run");
-    eprintln!("                                liveness (verify re-simulates and asserts)");
+    eprintln!("                                liveness (verify, on either prune stage, then");
+    eprintln!("                                re-classifies every fault on the fresh engine");
+    eprintln!("                                and, under importance sampling, cross-checks");
+    eprintln!("                                the AVF against a uniform campaign)");
     eprintln!("  --prune-static off|on|verify  additionally skip faults the compiler's static");
     eprintln!("                                bit-demand analysis proves masked");
     eprintln!("  --target-margin F             adaptive sampling: draw until the 99% error");
     eprintln!("                                margin is <= F (overrides --injections)");
-    eprintln!("  --sampler KIND                uniform|importance|importance/verify: draw from");
+    eprintln!("  --sampler KIND                uniform|importance: draw from");
     eprintln!("                                the full population or the live subpopulation");
     eprintln!("                                (Horvitz-Thompson-reweighted estimates)");
     eprintln!("  --results DIR                 result-store root (default target/softerr-store)");
@@ -1278,7 +1252,7 @@ fn ablation_size(opts: &Options) {
 /// reports AVF ± achieved margin and the forked-child-simulation cost of
 /// each, the importance weight, the per-cell savings factor, and whether
 /// the two estimates agree within their combined margins (the same
-/// predicate the `importance/verify` sampler enforces).
+/// predicate `--sampler importance --prune verify` enforces).
 fn sampling(opts: &Options) {
     use softerr::{CampaignConfig, Compiler, Injector, SamplingCell};
     let structure = Structure::L1IData;
@@ -1288,10 +1262,6 @@ fn sampling(opts: &Options) {
     plan.stop = StopRule::TargetMargin { target, batch };
     let uni_plan = plan.sampler(SamplerKind::Uniform);
     let imp_plan = plan.sampler(SamplerKind::Importance);
-    if let Err(e) = imp_plan.validate() {
-        eprintln!("invalid sampling configuration: {e}");
-        std::process::exit(1);
-    }
     println!("== Sampling efficiency: uniform vs importance at a {target} margin (99%) ==");
     println!(
         "(structure {}; both campaigns grow in batches of {batch} until the achieved",

@@ -54,10 +54,9 @@ pub use softerr_cc::{
 pub use softerr_inject::{
     error_margin, fnv1a, ht_fraction, required_sample, weighted_error_margin,
     weighted_required_sample, CampaignConfig, CampaignObserver, CampaignOutput, CampaignResult,
-    CampaignRun, ClassCounts, DivergenceSite, FaultClass, FaultRecord, FaultSpec, Golden,
-    ImportanceSampler, Injector, ProgressLine, PropagationSample, PropagationTrace, PruneMode,
-    PrunePolicy, RunManifest, Sampler, SamplerKind, SamplingPlan, StopRule, UniformSampler, Z_90,
-    Z_95, Z_99,
+    CampaignRun, ClassCounts, DivergenceSite, FaultClass, FaultRecord, FaultSpec, Golden, Injector,
+    ProgressLine, PropagationSample, PropagationTrace, PruneMode, PrunePolicy, RunManifest,
+    SamplerKind, SamplingPlan, StopRule, Z_90, Z_95, Z_99,
 };
 pub use softerr_isa::{disassemble, Emulator, Profile, Program};
 pub use softerr_sim::{

@@ -354,14 +354,14 @@ mod tests {
         c.plan = base.plan.sampler(SamplerKind::Importance);
         assert_ne!(baseline, h(&c), "sampler kind is keyed");
         let mut c = base.clone();
-        c.plan = base.plan.sampler(SamplerKind::ImportanceVerify);
+        c.plan = base.plan.prune(softerr_inject::PruneMode::Verify);
         assert_ne!(
             h(&StudyConfig {
-                plan: base.plan.sampler(SamplerKind::Importance),
+                plan: base.plan.prune(softerr_inject::PruneMode::On),
                 ..base.clone()
             }),
             h(&c),
-            "verify-mode sampling keys separately from plain importance"
+            "verified cells key separately from unverified ones"
         );
         let mut c = base.clone();
         c.seed += 1;

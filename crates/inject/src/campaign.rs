@@ -2,7 +2,7 @@
 
 use crate::progress::CampaignObserver;
 use crate::record::{DivergenceSite, FaultRecord, PropagationSample, PropagationTrace};
-use crate::sampler::{Sampler, SamplerKind, SamplingPlan, StopRule};
+use crate::sampler::{PrunePolicy, SamplerKind, SamplingPlan, StopRule};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
@@ -160,9 +160,11 @@ pub enum PruneMode {
     /// Classify faults landing outside every live window as Masked without
     /// simulating them. Class tallies are bit-identical to `Off`.
     On,
-    /// Simulate every fault anyway and assert that each prunable one really
-    /// classifies as Masked — the regression net for the liveness model.
-    /// Panics on a mismatch (an unsound prune window is a correctness bug).
+    /// Prune exactly as `On`, then re-classify every fault of the campaign
+    /// on the fresh engine with nothing pruned and panic on the first class
+    /// that differs — the regression net for the prune stages and the
+    /// convoy's shortcuts alike. Under importance sampling the AVF is also
+    /// cross-checked against a uniform campaign at the achieved margin.
     Verify,
 }
 
@@ -743,7 +745,7 @@ impl<'a> Injector<'a> {
     /// Samples faults per the config's [`SamplingPlan`]: a fixed count, or
     /// just enough to reach a target margin.
     fn sample_plan(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSpec> {
-        let sampler = cfg.plan.sampler.sampler();
+        let sampler = cfg.plan.sampler;
         match cfg.plan.stop {
             StopRule::FixedN(n) => sampler.sample(self, structure, n, cfg.seed),
             StopRule::TargetMargin { target, batch } => {
@@ -765,7 +767,7 @@ impl<'a> Injector<'a> {
         structure: Structure,
         target: f64,
         batch: u64,
-        sampler: &dyn Sampler,
+        sampler: SamplerKind,
         seed: u64,
     ) -> Vec<FaultSpec> {
         let bits = self.bit_count(structure);
@@ -915,35 +917,20 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
     }
 
     /// Executes the run: one [`CampaignOutput`] per structure, in the
-    /// order [`Injector::run_all`] was given. Under
-    /// [`SamplerKind::ImportanceVerify`] each importance campaign is
-    /// followed by a uniform reference campaign at the same achieved
-    /// margin, and the run panics unless the two AVF estimates agree
-    /// within their combined margins (the sampling analogue of
-    /// `prune = verify`).
+    /// order [`Injector::run_all`] was given: each structure is sampled and
+    /// pruned on its own, the union of survivors is classified in one
+    /// convoy, and outcomes are split back and tallied per structure.
     ///
     /// # Panics
     ///
     /// Panics when a preset fault list ([`CampaignRun::faults`]) is given
-    /// to a run over several structures.
+    /// to a run over several structures, and under `prune = verify` when a
+    /// campaign disagrees with its oracle ([`PruneMode::Verify`]).
     pub fn execute_all(self) -> Vec<CampaignOutput> {
         assert!(
             self.faults.is_none() || self.structures.len() == 1,
             "a preset fault list needs a one-structure run"
         );
-        let outputs = self.run_campaigns();
-        if self.cfg.plan.sampler == SamplerKind::ImportanceVerify && self.faults.is_none() {
-            for output in &outputs {
-                self.verify_against_uniform(output);
-            }
-        }
-        outputs
-    }
-
-    /// The campaigns under the configured plan: sample and prune each
-    /// structure, classify the union of survivors in one convoy, then
-    /// split outcomes back and tally per structure.
-    fn run_campaigns(&self) -> Vec<CampaignOutput> {
         let mut cell = span("campaign.cell");
         cell.record("structures", self.structures.len());
         // A one-structure run charges all of its stages to the structure;
@@ -984,7 +971,7 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
         };
         root.record("injections", faults.len());
         let (weight, live_population) = if importance {
-            let sampler = crate::sampler::ImportanceSampler;
+            let sampler = SamplerKind::Importance;
             (
                 sampler.weight(self.injector, structure),
                 Some(sampler.population(self.injector, structure)),
@@ -992,11 +979,10 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
         } else {
             (1.0, None)
         };
-        let prune = self.cfg.plan.prune;
-        let pruned = if prune.any_on() && !prune.any_verify() {
-            self.prune(&faults)
-        } else {
+        let pruned = if self.cfg.plan.prune == PrunePolicy::default() {
             Vec::new()
+        } else {
+            self.prune(&faults)
         };
         Planned {
             structure,
@@ -1007,14 +993,14 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
         }
     }
 
-    /// `prune = on` and/or `prune_static = on`: flags the faults a pruner
-    /// proves Masked, so only the rest reach the engine. A fault both
-    /// stages could prune is attributed to the dynamic liveness pruner
-    /// (the cheaper proof).
+    /// `prune` and/or `prune_static` set to `on` or `verify`: flags the
+    /// faults a pruner proves Masked, so only the rest reach the engine. A
+    /// fault both stages could prune is attributed to the dynamic liveness
+    /// pruner (the cheaper proof).
     fn prune(&self, faults: &[FaultSpec]) -> Vec<(bool, bool)> {
         let mut sp = span("campaign.prune");
-        let dyn_on = self.cfg.plan.prune.liveness == PruneMode::On;
-        let static_on = self.cfg.plan.prune.demand == PruneMode::On;
+        let dyn_on = self.cfg.plan.prune.liveness != PruneMode::Off;
+        let static_on = self.cfg.plan.prune.demand != PruneMode::Off;
         let flags: Vec<(bool, bool)> = faults
             .iter()
             .map(|&f| {
@@ -1105,7 +1091,8 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
     }
 
     /// Scatters one structure's engine outcomes and pruned verdicts back
-    /// into sample order, runs its verify stages, and tallies it.
+    /// into sample order, tallies it, and verifies it under
+    /// `prune = verify`.
     fn finish(&self, p: Planned<'_>, survivor_outcomes: Vec<Outcome>) -> CampaignOutput {
         let mut survivor_it = survivor_outcomes.into_iter();
         let outcomes: Vec<Outcome> = (0..p.faults.len())
@@ -1124,17 +1111,6 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
                 _ => survivor_it.next().expect("one engine outcome per survivor"),
             })
             .collect();
-        let prune = self.cfg.plan.prune;
-        if prune.liveness == PruneMode::Verify {
-            self.verify_stage(p.structure, &p.faults, &outcomes, "liveness", |f| {
-                self.injector.prunable(f, self.burst_width)
-            });
-        }
-        if prune.demand == PruneMode::Verify {
-            self.verify_stage(p.structure, &p.faults, &outcomes, "static", |f| {
-                self.injector.prunable_static(f, self.burst_width)
-            });
-        }
         let mut counts = ClassCounts::default();
         let mut simulated = 0u64;
         for outcome in &outcomes {
@@ -1161,7 +1137,7 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
                 })
                 .collect()
         });
-        CampaignOutput {
+        let output = CampaignOutput {
             result: CampaignResult {
                 structure: p.structure,
                 bit_population: self.injector.bit_count(p.structure),
@@ -1173,29 +1149,55 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
             classes,
             records,
             simulated,
+        };
+        if self.cfg.plan.prune.any_verify() {
+            self.verify(&p.faults, &output);
         }
+        output
     }
 
-    /// The `sampler = importance/verify` equivalence net: re-runs the
-    /// campaign with uniform sampling to the margin the importance
-    /// campaign achieved and panics unless the two AVF estimates agree
-    /// within their combined 99% margins. An importance campaign whose
-    /// subpopulation is empty proved AVF = 0 exactly and needs no
-    /// reference run (a uniform campaign to margin 0 would be a census).
-    fn verify_against_uniform(&self, output: &CampaignOutput) {
+    /// `prune = verify` on either stage: re-classifies `faults` (the
+    /// structure's whole sample, in `output`'s order) on the fresh engine
+    /// with nothing pruned and panics on the first fault whose class
+    /// differs from the campaign's, so neither an unsound prune window or
+    /// demand mask nor a wrong convoy shortcut can return tainted tallies.
+    /// An importance campaign over a non-empty live subpopulation is then
+    /// held to a uniform, unpruned campaign at its achieved margin: the two
+    /// AVF estimates must agree within their combined 99% margins. (An
+    /// empty subpopulation proved AVF = 0 exactly, and a zero margin would
+    /// ask for a census.)
+    fn verify(&self, faults: &[FaultSpec], output: &CampaignOutput) {
         let result = &output.result;
         let structure = result.structure;
-        let margin = result.margin_99();
-        let mut sp = span("campaign.sampling_verify");
+        let mut sp = span("campaign.verify");
         sp.record("structure", structure.name());
-        if result.live_population == Some(0) || !margin.is_finite() || margin <= 0.0 {
-            event!(
-                Level::Info,
-                "inject.sampling",
-                { structure: format!("{structure:?}") },
-                "sampling verification skipped: importance estimate is exact \
-                 (empty live subpopulation)"
+        sp.record("faults", faults.len());
+        let unpruned = SamplingPlan {
+            prune: PrunePolicy::default(),
+            ..self.cfg.plan
+        };
+        let fresh = CampaignConfig {
+            plan: unpruned,
+            checkpoint: false,
+            ..self.cfg
+        };
+        let oracle = self
+            .injector
+            .run(structure, &fresh)
+            .faults(faults)
+            .burst_width(self.burst_width)
+            .execute();
+        for ((fault, &class), &expected) in faults.iter().zip(&output.classes).zip(&oracle.classes)
+        {
+            assert!(
+                class == expected,
+                "verification failed: {fault:?} (width {}) classified {class} by the \
+                 campaign but {expected} by the fresh engine",
+                self.burst_width
             );
+        }
+        let margin = result.margin_99();
+        if !(result.live_population.is_some_and(|n| n > 0) && margin.is_finite() && margin > 0.0) {
             return;
         }
         let uniform_cfg = CampaignConfig {
@@ -1203,9 +1205,9 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
                 sampler: SamplerKind::Uniform,
                 stop: StopRule::TargetMargin {
                     target: margin,
-                    batch: crate::sampler::stop_batch(&self.cfg.plan),
+                    batch: self.cfg.plan.injections().max(1),
                 },
-                prune: self.cfg.plan.prune,
+                ..unpruned
             },
             ..self.cfg
         };
@@ -1213,104 +1215,16 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
             .injector
             .run(structure, &uniform_cfg)
             .burst_width(self.burst_width)
-            .execute();
-        let (avf_i, avf_u) = (result.avf(), uniform.result.avf());
-        let combined = margin + uniform.result.margin_99();
+            .execute()
+            .result;
+        let (avf_i, avf_u) = (result.avf(), uniform.avf());
+        let combined = margin + uniform.margin_99();
         sp.record("delta", format!("{:.6}", (avf_i - avf_u).abs()));
-        if (avf_i - avf_u).abs() > combined {
-            event!(
-                Level::Error,
-                "inject.sampling",
-                {
-                    structure: format!("{structure:?}"),
-                    importance_avf: avf_i,
-                    uniform_avf: avf_u,
-                    combined_margin: combined
-                },
-                "sampling verification failed: importance AVF {:.4} vs uniform \
-                 AVF {:.4} differ beyond the combined margin {:.4}",
-                avf_i,
-                avf_u,
-                combined
-            );
-            panic!(
-                "sampling verification failed on {:?}: importance AVF {avf_i:.4} \
-                 (±{margin:.4}) vs uniform AVF {avf_u:.4} differ beyond the \
-                 combined 99% margin {combined:.4}",
-                structure
-            );
-        }
-        event!(
-            Level::Info,
-            "inject.sampling",
-            {
-                structure: format!("{structure:?}"),
-                importance_avf: avf_i,
-                uniform_avf: avf_u,
-                combined_margin: combined
-            },
-            "importance AVF {:.4} agrees with uniform AVF {:.4} within the \
-             combined margin {:.4}",
-            avf_i,
-            avf_u,
-            combined
-        );
-    }
-
-    /// `prune = verify` and/or `prune_static = verify`: every fault was
-    /// simulated exactly like `off`; asserts each `prunable` one classified
-    /// as Masked. A mismatch means an unsound prune window (or demand mask)
-    /// — a correctness bug — so it panics on the first counterexample
-    /// rather than returning tainted tallies.
-    fn verify_stage(
-        &self,
-        structure: Structure,
-        faults: &[FaultSpec],
-        outcomes: &[Outcome],
-        stage: &str,
-        prunable: impl Fn(FaultSpec) -> bool,
-    ) {
-        let mut sp = span("campaign.verify");
-        sp.record("structure", structure.name());
-        sp.record("stage", stage.to_string());
-        let mut checked = 0usize;
-        for (fault, outcome) in faults.iter().zip(outcomes) {
-            if !prunable(*fault) {
-                continue;
-            }
-            checked += 1;
-            if outcome.class != FaultClass::Masked {
-                event!(
-                    Level::Error,
-                    "inject.prune",
-                    {
-                        stage: stage.to_string(),
-                        structure: format!("{:?}", fault.structure),
-                        bit: fault.bit,
-                        cycle: fault.cycle,
-                        class: outcome.class.name()
-                    },
-                    "{} prune verification failed: {:?} is provably masked \
-                     but simulated as {}",
-                    stage,
-                    fault,
-                    outcome.class
-                );
-                panic!(
-                    "{stage} prune verification failed: {fault:?} (width {}) is \
-                     provably masked but simulated as {}",
-                    self.burst_width, outcome.class
-                );
-            }
-        }
-        event!(
-            Level::Info,
-            "inject.prune",
-            { stage: stage.to_string(), verified: checked, total: faults.len() },
-            "verified {}/{} {}-prunable faults simulate as Masked",
-            checked,
-            faults.len(),
-            stage
+        assert!(
+            (avf_i - avf_u).abs() <= combined,
+            "sampling verification failed on {structure:?}: importance AVF {avf_i:.4} \
+             (±{margin:.4}) vs uniform AVF {avf_u:.4} differ beyond the combined 99% \
+             margin {combined:.4}"
         );
     }
 }
@@ -2073,7 +1987,6 @@ fn probe_fixed_point(sim: &Sim) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::sampler::UniformSampler;
     use softerr_cc::{Compiler, OptLevel};
 
     fn setup() -> (MachineConfig, Program) {
@@ -2757,6 +2670,9 @@ mod tests {
 
     #[test]
     fn verify_mode_agrees_with_unpruned_and_does_not_panic() {
+        // Verify prunes exactly as On, then checks every fault against the
+        // fresh engine: its output is the On campaign's, prune provenance
+        // included, and its tallies still equal the unpruned ones.
         let (cfg, program) = setup();
         let inj = Injector::new(&cfg, &program).unwrap();
         let base = CampaignConfig {
@@ -2764,8 +2680,8 @@ mod tests {
             seed: 4,
             ..CampaignConfig::default()
         };
-        let verify = CampaignConfig {
-            plan: base.plan.prune(PruneMode::Verify),
+        let with = |mode| CampaignConfig {
+            plan: base.plan.prune(mode),
             ..base
         };
         for s in [
@@ -2774,18 +2690,72 @@ mod tests {
             Structure::RobFlags,
             Structure::L1DTag,
         ] {
-            let off = inj.run(s, &base).execute();
-            let v = inj.run(s, &verify).execute();
+            let on = inj.run(s, &with(PruneMode::On)).records(true).execute();
+            let v = inj.run(s, &with(PruneMode::Verify)).records(true).execute();
+            assert_eq!(v.result, on.result, "{s}: verify tallies like on");
+            assert_eq!(v.classes, on.classes, "{s}: verify classifies like on");
+            assert_eq!(v.records, on.records, "{s}: verify records like on");
             assert_eq!(
-                off.result, v.result,
-                "{s}: verify simulates exactly like off"
+                v.simulated, on.simulated,
+                "{s}: the oracle run is not counted"
             );
-            let records = inj.run(s, &verify).records(true).execute().records.unwrap();
-            assert!(
-                records.iter().all(|r| !r.pruned),
-                "{s}: verify-mode records are all simulated"
-            );
+            assert_eq!(v.result, inj.run(s, &base).execute().result, "{s}");
+            if s == Structure::RegFile {
+                assert!(v.records.unwrap().iter().any(|r| r.pruned), "{s}");
+            }
         }
+    }
+
+    #[test]
+    fn verify_on_one_stage_leaves_the_other_pruning() {
+        // `prune = on` with `prune_static = verify` prunes with both stages
+        // (and verifies the lot), exactly like `on` with `on`.
+        let (cfg, program) = setup();
+        let inj = Injector::new(&cfg, &program).unwrap();
+        let base = CampaignConfig {
+            plan: SamplingPlan::fixed(60).prune(PruneMode::On),
+            seed: 13,
+            ..CampaignConfig::default()
+        };
+        let verify = CampaignConfig {
+            plan: base.plan.prune_static(PruneMode::Verify),
+            ..base
+        };
+        let on = CampaignConfig {
+            plan: base.plan.prune_static(PruneMode::On),
+            ..base
+        };
+        let s = Structure::RegFile;
+        let v = inj.run(s, &verify).records(true).execute();
+        let o = inj.run(s, &on).records(true).execute();
+        assert_eq!(v.records, o.records);
+        assert_eq!(v.simulated, o.simulated);
+        let records = v.records.unwrap();
+        assert!(
+            records.iter().any(|r| r.pruned),
+            "the liveness stage still prunes"
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "by the fresh engine")]
+    fn verify_panics_on_a_class_the_fresh_engine_disagrees_with() {
+        let (cfg, program) = setup();
+        let inj = Injector::new(&cfg, &program).unwrap();
+        let cc = CampaignConfig {
+            plan: SamplingPlan::fixed(20).prune(PruneMode::Verify),
+            seed: 5,
+            ..CampaignConfig::default()
+        };
+        let faults = inj.sample_faults(Structure::RegFile, 20, 5);
+        let run = || inj.run(Structure::RegFile, &cc).faults(&faults);
+        let mut out = run().execute();
+        out.classes[0] = if out.classes[0] == FaultClass::Masked {
+            FaultClass::Sdc
+        } else {
+            FaultClass::Masked
+        };
+        run().verify(&faults, &out);
     }
 
     #[test]
@@ -2850,6 +2820,7 @@ mod tests {
 
     #[test]
     fn static_verify_mode_agrees_with_unpruned_and_does_not_panic() {
+        // The demand stage's Verify likewise prunes exactly as its On.
         let (cfg, program) = setup();
         let inj = Injector::new(&cfg, &program).unwrap();
         let base = CampaignConfig {
@@ -2857,22 +2828,27 @@ mod tests {
             seed: 4,
             ..CampaignConfig::default()
         };
-        let verify = CampaignConfig {
-            plan: base.plan.prune_static(PruneMode::Verify),
+        let with = |mode| CampaignConfig {
+            plan: base.plan.prune_static(mode),
             ..base
         };
         for s in [Structure::RegFile, Structure::RobFlags, Structure::L1DTag] {
-            let off = inj.run(s, &base).execute();
-            let v = inj.run(s, &verify).execute();
+            let on = inj.run(s, &with(PruneMode::On)).records(true).execute();
+            let v = inj.run(s, &with(PruneMode::Verify)).records(true).execute();
+            assert_eq!(v.result, on.result, "{s}: static verify tallies like on");
             assert_eq!(
-                off.result, v.result,
-                "{s}: static verify simulates exactly like off"
+                v.classes, on.classes,
+                "{s}: static verify classifies like on"
             );
-            let records = inj.run(s, &verify).records(true).execute().records.unwrap();
-            assert!(
-                records.iter().all(|r| !r.pruned && !r.pruned_static),
-                "{s}: verify-mode records are all simulated"
+            assert_eq!(v.records, on.records, "{s}: static verify records like on");
+            assert_eq!(
+                v.simulated, on.simulated,
+                "{s}: the oracle run is not counted"
             );
+            assert_eq!(v.result, inj.run(s, &base).execute().result, "{s}");
+            if s == Structure::RegFile {
+                assert!(v.records.unwrap().iter().any(|r| r.pruned_static), "{s}");
+            }
         }
     }
 
@@ -2987,9 +2963,8 @@ mod tests {
             "uniform draws some provably-dead sites on RegFile"
         );
         // Over-asking caps at the live population, not the full one.
-        let sampler = crate::sampler::ImportanceSampler;
-        let live = sampler.population(&inj, s);
-        assert!(live > 0 && live < UniformSampler.population(&inj, s));
+        let live = SamplerKind::Importance.population(&inj, s);
+        assert!(live > 0 && live < SamplerKind::Uniform.population(&inj, s));
         let census = inj.sample_importance(s, live + 1000, 9);
         assert_eq!(census.len() as u64, live);
     }
@@ -3016,7 +2991,7 @@ mod tests {
         assert!(i.weight > 0.0 && i.weight < 1.0, "RegFile has dead sites");
         assert_eq!(
             i.live_population,
-            Some(crate::sampler::ImportanceSampler.population(&inj, s))
+            Some(SamplerKind::Importance.population(&inj, s))
         );
         // Same margin target, fewer forked children: the whole point.
         assert!(i.margin_99() <= 0.12, "importance margin {}", i.margin_99());
@@ -3045,33 +3020,33 @@ mod tests {
 
     #[test]
     fn importance_verify_campaign_cross_checks_against_uniform() {
+        // Importance sampling with either prune stage on verify is a valid
+        // plan: every drawn fault is re-classified on the fresh engine and
+        // the AVF is held to a uniform campaign at the achieved margin. An
+        // importance sample holds no prunable fault, so the result is the
+        // plain importance campaign's.
         let (cfg, program) = setup();
         let inj = Injector::new(&cfg, &program).unwrap();
+        let plain = SamplingPlan::adaptive(0.15, 25).sampler(SamplerKind::Importance);
+        let run = |s, plan| {
+            let cc = CampaignConfig {
+                plan,
+                seed: 12,
+                ..CampaignConfig::default()
+            };
+            inj.run(s, &cc).execute()
+        };
         for s in [Structure::RegFile, Structure::RobFlags] {
-            let out = inj
-                .run(
-                    s,
-                    &CampaignConfig {
-                        plan: SamplingPlan::adaptive(0.15, 25)
-                            .sampler(SamplerKind::ImportanceVerify),
-                        seed: 12,
-                        ..CampaignConfig::default()
-                    },
-                )
-                .execute();
-            // Verify mode draws exactly like plain importance; the uniform
-            // cross-check runs on the side and panics only on disagreement.
-            let plain = inj
-                .run(
-                    s,
-                    &CampaignConfig {
-                        plan: SamplingPlan::adaptive(0.15, 25).sampler(SamplerKind::Importance),
-                        seed: 12,
-                        ..CampaignConfig::default()
-                    },
-                )
-                .execute();
-            assert_eq!(out.result, plain.result, "{s}: verify draws identically");
+            let expected = run(s, plain);
+            for verify in [
+                plain.prune(PruneMode::Verify),
+                plain.prune_static(PruneMode::Verify),
+            ] {
+                assert!(verify.validate().is_ok(), "{verify:?}");
+                let out = run(s, verify);
+                assert_eq!(out.result, expected.result, "{s}: {verify:?}");
+                assert_eq!(out.classes, expected.classes, "{s}: {verify:?}");
+            }
         }
     }
 

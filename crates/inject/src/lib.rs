@@ -62,9 +62,7 @@ pub use campaign::{
 pub use manifest::{fnv1a, RunManifest};
 pub use progress::{CampaignObserver, ProgressLine};
 pub use record::{DivergenceSite, FaultRecord, PropagationSample, PropagationTrace};
-pub use sampler::{
-    ImportanceSampler, PrunePolicy, Sampler, SamplerKind, SamplingPlan, StopRule, UniformSampler,
-};
+pub use sampler::{PrunePolicy, SamplerKind, SamplingPlan, StopRule};
 pub use stats::{
     error_margin, ht_fraction, required_sample, weighted_error_margin, weighted_required_sample,
     Z_90, Z_95, Z_99,

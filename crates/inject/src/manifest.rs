@@ -19,8 +19,8 @@ pub struct RunManifest {
     /// Injections per structure (the fixed count, or the adaptive batch
     /// size under a margin target).
     pub injections: u64,
-    /// Sampling distribution the campaign drew from (`"uniform"`,
-    /// `"importance"`, or `"importance/verify"`).
+    /// Sampling distribution the campaign drew from (`"uniform"` or
+    /// `"importance"`; verification is the `prune` fields' `"verify"`).
     pub sampler: String,
     /// Stopping rule: `"fixed"` or the margin target as
     /// `"margin=<target>"`.

@@ -93,13 +93,13 @@ pub struct FaultRecord {
     /// run, or `None` for faults that never corrupted live state.
     pub first_divergence: Option<DivergenceSite>,
     /// Verdict provenance: `true` when the liveness pruner classified the
-    /// fault as Masked without simulating it (`prune = on` campaigns only;
-    /// verify-mode campaigns simulate everything, so their records never
-    /// set this).
+    /// fault as Masked without simulating it (`prune = on` or `verify`
+    /// campaigns; verify mode prunes exactly as `on` and checks the
+    /// verdicts against the fresh engine afterwards).
     pub pruned: bool,
     /// Verdict provenance: `true` when the compiler's static bit-demand
     /// analysis classified the fault as Masked without simulating it
-    /// (`prune_static = on` campaigns only). Mutually exclusive with
+    /// (`prune_static = on` or `verify` campaigns). Mutually exclusive with
     /// `pruned` — a fault both stages could prune is attributed to the
     /// dynamic liveness pruner.
     pub pruned_static: bool,

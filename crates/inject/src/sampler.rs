@@ -2,10 +2,10 @@
 //! [`SamplingPlan`] that replaced the flat `injections` / `target_margin` /
 //! `prune` / `prune_static` knobs on `CampaignConfig`.
 //!
-//! Two samplers implement the [`Sampler`] trait. [`UniformSampler`] draws
-//! `(bit, cycle)` sites uniformly over the full structure population — the
-//! historical behavior, bit-identical to the pre-plan code path.
-//! [`ImportanceSampler`] inverts the prune filter: instead of drawing
+//! Two sampler kinds exist. [`SamplerKind::Uniform`] draws `(bit, cycle)`
+//! sites uniformly over the full structure population — the historical
+//! behavior, bit-identical to the pre-plan code path.
+//! [`SamplerKind::Importance`] inverts the prune filter: instead of drawing
 //! uniformly and discarding the 40–99% of sites that the golden run's
 //! liveness windows (intersected with static writeback demand masks where
 //! available) prove masked, it draws only from the live-and-demanded
@@ -14,9 +14,9 @@
 //! and the reweighted estimator in [`crate::stats`] reaches the same
 //! Leveugle-style confidence margin with ~`weight`× fewer samples.
 //!
-//! Both samplers are deterministic, seed-keyed, and prefix-stable: a
-//! smaller sample is always a prefix of a larger one from the same seed,
-//! and the drawn set never depends on thread count.
+//! Both kinds are deterministic, seed-keyed, and prefix-stable: a smaller
+//! sample is always a prefix of a larger one from the same seed, and the
+//! drawn set never depends on thread count.
 
 use crate::campaign::{FaultSpec, Injector, PruneMode};
 use serde::{Deserialize, Serialize};
@@ -31,13 +31,11 @@ pub enum SamplerKind {
     #[default]
     Uniform,
     /// Uniform over the live-and-demanded subpopulation only, with tallies
-    /// reweighted by the subpopulation mass (Horvitz–Thompson).
+    /// reweighted by the subpopulation mass (Horvitz–Thompson): rejection
+    /// sampling against [`softerr_sim::LivenessMap::is_vulnerable`] on the
+    /// uniform RNG stream, so on a structure whose every site is live the
+    /// drawn sample is bit-identical to the uniform one.
     Importance,
-    /// [`SamplerKind::Importance`], plus an equivalence net in the style of
-    /// `prune = verify`: after the importance campaign, a uniform campaign
-    /// is run to the same achieved margin and the run panics unless the two
-    /// AVF estimates agree within their combined margins.
-    ImportanceVerify,
 }
 
 impl SamplerKind {
@@ -46,22 +44,56 @@ impl SamplerKind {
         match self {
             SamplerKind::Uniform => "uniform",
             SamplerKind::Importance => "importance",
-            SamplerKind::ImportanceVerify => "importance/verify",
-        }
-    }
-
-    /// The sampler implementing this kind (verify mode draws exactly like
-    /// plain importance; the cross-check lives in the campaign runner).
-    pub fn sampler(self) -> &'static dyn Sampler {
-        match self {
-            SamplerKind::Uniform => &UniformSampler,
-            SamplerKind::Importance | SamplerKind::ImportanceVerify => &ImportanceSampler,
         }
     }
 
     /// Whether this kind draws from the live subpopulation.
     pub fn is_importance(self) -> bool {
         self != SamplerKind::Uniform
+    }
+
+    /// Number of distinct fault sites this kind can draw for `structure`
+    /// (the finite-population-correction denominator): every
+    /// `(bit, cycle)` site, or the vulnerable ones.
+    pub fn population(self, injector: &Injector<'_>, structure: Structure) -> u64 {
+        match self {
+            SamplerKind::Uniform => injector
+                .bit_count(structure)
+                .saturating_mul(injector.golden().cycles.max(1)),
+            SamplerKind::Importance => injector.vulnerable_sites(structure),
+        }
+    }
+
+    /// Horvitz–Thompson weight attached to every drawn fault: the
+    /// probability mass of the sampled subpopulation (1.0 for uniform; the
+    /// exact vulnerable fraction for importance, 1.0 on an empty
+    /// structure). A pure function of the injector's golden run.
+    pub fn weight(self, injector: &Injector<'_>, structure: Structure) -> f64 {
+        match self {
+            SamplerKind::Uniform => 1.0,
+            SamplerKind::Importance => {
+                let total = SamplerKind::Uniform.population(injector, structure);
+                if total == 0 {
+                    return 1.0;
+                }
+                self.population(injector, structure) as f64 / total as f64
+            }
+        }
+    }
+
+    /// Draws `n` distinct faults (capped at the population), reproducibly
+    /// from `seed`; `sample(n)` is a prefix of `sample(n + k)`.
+    pub fn sample(
+        self,
+        injector: &Injector<'_>,
+        structure: Structure,
+        n: u64,
+        seed: u64,
+    ) -> Vec<FaultSpec> {
+        match self {
+            SamplerKind::Uniform => injector.sample_faults(structure, n, seed),
+            SamplerKind::Importance => injector.sample_importance(structure, n, seed),
+        }
     }
 }
 
@@ -78,10 +110,7 @@ impl std::str::FromStr for SamplerKind {
         match s {
             "uniform" => Ok(SamplerKind::Uniform),
             "importance" => Ok(SamplerKind::Importance),
-            "importance/verify" | "importance-verify" => Ok(SamplerKind::ImportanceVerify),
-            other => Err(format!(
-                "unknown sampler '{other}' (uniform|importance|importance/verify)"
-            )),
+            other => Err(format!("unknown sampler '{other}' (uniform|importance)")),
         }
     }
 }
@@ -212,135 +241,19 @@ impl SamplingPlan {
         }
     }
 
-    /// Rejects nonsense plans with a human-readable reason.
-    ///
-    /// An importance sampler cannot be combined with `prune = verify` in
-    /// either stage: verify mode asserts that *prunable* faults simulate as
-    /// Masked, but an importance sampler never draws a prunable fault, so
-    /// the net would vacuously pass while pretending to check something. A
-    /// margin target must be in `(0, 1)` — zero margin means a full census
-    /// and is always a configuration mistake.
+    /// Rejects nonsense plans with a human-readable reason: a margin target
+    /// must be in `(0, 1)` — zero margin means a full census and is always
+    /// a configuration mistake. Every sampler combines with every prune
+    /// policy; under `prune = verify` the campaign re-classifies each of its
+    /// faults on the fresh engine, whichever sampler drew them.
     pub fn validate(&self) -> Result<(), String> {
         if let StopRule::TargetMargin { target, .. } = self.stop {
             if !target.is_finite() || target <= 0.0 || target >= 1.0 {
                 return Err(format!("target margin must be in (0, 1), got {target}"));
             }
         }
-        if self.sampler.is_importance() && self.prune.any_verify() {
-            return Err(format!(
-                "sampler '{}' cannot be combined with prune = verify: importance \
-                 sampling never draws a prunable fault, so the verification \
-                 would be vacuous",
-                self.sampler
-            ));
-        }
         Ok(())
     }
-}
-
-/// A deterministic, seed-keyed, prefix-stable fault-site sampler.
-///
-/// `sample(n)` must be a prefix of `sample(n + k)` from the same seed, and
-/// both `population` and `weight` must be pure functions of the injector's
-/// golden run — never of thread count or of previously drawn samples.
-pub trait Sampler: Sync {
-    /// Lower-case display name.
-    fn name(&self) -> &'static str;
-
-    /// Number of distinct fault sites this sampler can draw for
-    /// `structure` (the finite-population-correction denominator).
-    fn population(&self, injector: &Injector<'_>, structure: Structure) -> u64;
-
-    /// Horvitz–Thompson weight attached to every drawn fault: the
-    /// probability mass of the sampled subpopulation (1.0 for uniform).
-    fn weight(&self, injector: &Injector<'_>, structure: Structure) -> f64;
-
-    /// Draws `n` distinct faults (capped at the population), reproducibly
-    /// from `seed`.
-    fn sample(
-        &self,
-        injector: &Injector<'_>,
-        structure: Structure,
-        n: u64,
-        seed: u64,
-    ) -> Vec<FaultSpec>;
-}
-
-/// Uniform sampling over the full `(bit × cycle)` population — bit-identical
-/// to the pre-[`SamplingPlan`] campaign path.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct UniformSampler;
-
-impl Sampler for UniformSampler {
-    fn name(&self) -> &'static str {
-        "uniform"
-    }
-
-    fn population(&self, injector: &Injector<'_>, structure: Structure) -> u64 {
-        injector
-            .bit_count(structure)
-            .saturating_mul(injector.golden().cycles.max(1))
-    }
-
-    fn weight(&self, _injector: &Injector<'_>, _structure: Structure) -> f64 {
-        1.0
-    }
-
-    fn sample(
-        &self,
-        injector: &Injector<'_>,
-        structure: Structure,
-        n: u64,
-        seed: u64,
-    ) -> Vec<FaultSpec> {
-        injector.sample_faults(structure, n, seed)
-    }
-}
-
-/// Importance sampling over the live-and-demanded subpopulation: rejection
-/// sampling against [`softerr_sim::LivenessMap::is_vulnerable`] on the same
-/// RNG stream the uniform sampler uses, so on a structure whose every site
-/// is live the drawn sample is bit-identical to [`UniformSampler`]'s.
-///
-/// The weight is `vulnerable sites / total sites`, computed exactly by
-/// [`softerr_sim::StructureLiveness::vulnerable_site_count`] once per
-/// injector and structure; untracked structures fall back to weight 1.0
-/// (everything conservative-live).
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ImportanceSampler;
-
-impl Sampler for ImportanceSampler {
-    fn name(&self) -> &'static str {
-        "importance"
-    }
-
-    fn population(&self, injector: &Injector<'_>, structure: Structure) -> u64 {
-        injector.vulnerable_sites(structure)
-    }
-
-    fn weight(&self, injector: &Injector<'_>, structure: Structure) -> f64 {
-        let total = UniformSampler.population(injector, structure);
-        if total == 0 {
-            return 1.0;
-        }
-        self.population(injector, structure) as f64 / total as f64
-    }
-
-    fn sample(
-        &self,
-        injector: &Injector<'_>,
-        structure: Structure,
-        n: u64,
-        seed: u64,
-    ) -> Vec<FaultSpec> {
-        injector.sample_importance(structure, n, seed)
-    }
-}
-
-/// Builds the [`crate::CampaignConfig`]'s effective batch size for adaptive
-/// growth (shared by the campaign runner and the verify cross-check).
-pub(crate) fn stop_batch(plan: &SamplingPlan) -> u64 {
-    plan.injections().max(1)
 }
 
 #[cfg(test)]
@@ -349,18 +262,13 @@ mod tests {
 
     #[test]
     fn sampler_kind_round_trips_through_str() {
-        for kind in [
-            SamplerKind::Uniform,
-            SamplerKind::Importance,
-            SamplerKind::ImportanceVerify,
-        ] {
+        for kind in [SamplerKind::Uniform, SamplerKind::Importance] {
             assert_eq!(kind.name().parse::<SamplerKind>().unwrap(), kind);
         }
-        assert_eq!(
-            "importance-verify".parse::<SamplerKind>().unwrap(),
-            SamplerKind::ImportanceVerify
-        );
-        assert!("gaussian".parse::<SamplerKind>().is_err());
+        // Verification is `prune = verify`, not a sampler of its own.
+        for name in ["gaussian", "verify"] {
+            assert!(name.parse::<SamplerKind>().is_err(), "{name}");
+        }
     }
 
     #[test]
@@ -395,24 +303,20 @@ mod tests {
                 "target {target} must be rejected"
             );
         }
-        // Importance + prune verify is vacuous and must be rejected.
-        for sampler in [SamplerKind::Importance, SamplerKind::ImportanceVerify] {
+        // Verify checks every fault against the fresh engine, so it
+        // combines with either sampler on either stage.
+        for sampler in [SamplerKind::Uniform, SamplerKind::Importance] {
             for plan in [
                 SamplingPlan::fixed(10)
                     .sampler(sampler)
                     .prune(PruneMode::Verify),
-                SamplingPlan::fixed(10)
+                SamplingPlan::adaptive(0.1, 25)
                     .sampler(sampler)
                     .prune_static(PruneMode::Verify),
             ] {
-                assert!(plan.validate().is_err(), "{plan:?} must be rejected");
+                assert!(plan.validate().is_ok(), "{plan:?} must be accepted");
             }
         }
-        // ...but uniform + verify stays the regression net it always was.
-        assert!(SamplingPlan::fixed(10)
-            .prune(PruneMode::Verify)
-            .validate()
-            .is_ok());
     }
 
     #[test]
@@ -422,7 +326,9 @@ mod tests {
             SamplingPlan::fixed(2000)
                 .sampler(SamplerKind::Importance)
                 .prune(PruneMode::On),
-            SamplingPlan::adaptive(0.0288, 250).sampler(SamplerKind::ImportanceVerify),
+            SamplingPlan::adaptive(0.0288, 250)
+                .sampler(SamplerKind::Importance)
+                .prune_static(PruneMode::Verify),
         ] {
             let json = serde_json::to_string(&plan).expect("serialize");
             let back: SamplingPlan = serde_json::from_str(&json).expect("roundtrip");

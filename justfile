@@ -47,20 +47,20 @@ forensics:
 
 # Verify-mode self-check: every optimization layer against its oracle.
 # * The copy-on-write forking equivalence net.
-# * `--prune verify` campaigns re-simulate every fault the liveness pruner
-#   would skip and panic if any simulates as non-Masked: one sparse
-#   structure (rf, high prune rate) and one busy one (rob.pc), then the
-#   L1D arrays, whose forks used to be the most expensive, on both paper
-#   machines, so a chunk-sharing bug that leaked state between convoy
-#   children cannot pass.
-# * `--prune-static verify` RF campaigns do the same for the compiler's
-#   static bit-demand analysis; sha and blowfish carry the highest
+# * `--prune verify` / `--prune-static verify` campaigns prune as `on`, then
+#   re-classify every sampled fault on the fresh engine with nothing pruned
+#   and panic on the first class that differs, so one check covers the
+#   pruners and the convoy's shortcuts. Liveness: one sparse structure (rf,
+#   high prune rate) and one busy one (rob.pc), then the L1D arrays, whose
+#   forks used to be the most expensive, on both paper machines, so a
+#   chunk-sharing bug that leaked state between convoy children cannot
+#   pass. Static demand: RF on sha and blowfish, which carry the highest
 #   statically-masked bit fractions (shift/mask-heavy u32 code).
-# * `--sampler importance/verify` campaigns rerun a uniform campaign at the
-#   achieved reweighted margin and panic unless the two AVF estimates
-#   agree within their combined margins: l1i.data (the live-and-demanded
-#   subpopulation is ~1-2% of the sites, so the weight does the most
-#   work) and the register file.
+# * Under `--sampler importance` the verify mode also reruns a uniform
+#   campaign at the achieved reweighted margin and panics unless the two
+#   AVF estimates agree within their combined margins: l1i.data (the
+#   live-and-demanded subpopulation is ~1-2% of the sites, so the weight
+#   does the most work) and the register file.
 verify-check:
     cargo test -p softerr --release -q --test cow_equivalence
     cargo run --release -p softerr-bench --bin campaign -- \
@@ -83,10 +83,10 @@ verify-check:
         -n 200 --prune-static verify
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a15 --workload qsort --level O2 --structure l1i.data \
-        --target-margin 0.1 -n 25 --sampler importance/verify
+        --target-margin 0.1 -n 25 --sampler importance --prune verify
     cargo run --release -p softerr-bench --bin campaign -- \
         --machine a72 --workload sha --level O2 --structure rf \
-        --target-margin 0.1 -n 25 --sampler importance/verify
+        --target-margin 0.1 -n 25 --sampler importance --prune verify
 
 # The uniform-vs-importance efficiency table across the 64-cell paper grid:
 # AVF +/- margin and forked child sims per cell at equal target margin.

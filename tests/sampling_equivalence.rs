@@ -1,11 +1,11 @@
-//! Equivalence net for the `Sampler` / `SamplingPlan` redesign.
+//! Equivalence net for the `SamplerKind` / `SamplingPlan` redesign.
 //!
 //! Three properties, on both paper machines, for arbitrary seeds:
 //!
 //! 1. **Uniform is the historical path** — a campaign run under the
 //!    default uniform plan produces class tallies, per-fault verdicts, and
 //!    records bit-identical across 1-, 2-, and 5-worker pools; the drawn
-//!    sample is exactly [`UniformSampler::sample`]'s output and a prefix of
+//!    sample is exactly [`SamplerKind::sample`]'s output and a prefix of
 //!    any larger sample from the same seed; every record carries weight 1.0
 //!    and serializes *without* a `weight` key, so uniform JSONL output is
 //!    byte-identical to the pre-redesign format.
@@ -18,8 +18,8 @@
 
 use proptest::prelude::*;
 use softerr::{
-    CampaignConfig, Compiler, ImportanceSampler, Injector, MachineConfig, OptLevel, Program,
-    Sampler, SamplerKind, SamplingPlan, Scale, Structure, UniformSampler, Workload,
+    CampaignConfig, Compiler, Injector, MachineConfig, OptLevel, Program, SamplerKind,
+    SamplingPlan, Scale, Structure, Workload,
 };
 use std::sync::OnceLock;
 
@@ -53,11 +53,12 @@ proptest! {
             let injector = Injector::new(machine, program).expect("golden run");
             // The plan's drawn sample is exactly the raw sampler's output,
             // and a smaller sample is a prefix of a larger one.
-            let sample = UniformSampler.sample(&injector, structure, n, seed);
+            let uniform = SamplerKind::Uniform;
+            let sample = uniform.sample(&injector, structure, n, seed);
             prop_assert_eq!(&sample, &injector.sample_faults(structure, n, seed));
-            let half = UniformSampler.sample(&injector, structure, n / 2, seed);
+            let half = uniform.sample(&injector, structure, n / 2, seed);
             prop_assert_eq!(&sample[..half.len()], half.as_slice());
-            prop_assert_eq!(UniformSampler.weight(&injector, structure), 1.0);
+            prop_assert_eq!(uniform.weight(&injector, structure), 1.0);
 
             let cfg = CampaignConfig {
                 plan: SamplingPlan::fixed(n),
@@ -124,7 +125,7 @@ proptest! {
         for (machine, program) in machines() {
             let injector = Injector::new(machine, program).expect("golden run");
             let structure = Structure::RegFile;
-            let expected = ImportanceSampler.weight(&injector, structure);
+            let expected = SamplerKind::Importance.weight(&injector, structure);
             let mut runs = Vec::new();
             for threads in [1usize, 2, 5] {
                 let cfg = CampaignConfig {
