@@ -36,11 +36,12 @@ use softerr_isa::Profile;
 use softerr_sim::MachineConfig;
 use softerr_telemetry::{event, span, Level, Sink};
 use softerr_workloads::Workload;
-use std::sync::{Mutex, OnceLock};
-use std::time::Instant;
+use std::sync::{Condvar, Mutex, OnceLock};
+use std::time::{Duration, Instant};
 
-/// Suggested retry delay for a remote worker when every remaining cell is
-/// leased out.
+/// The longest a remote `Lease` with nothing grantable is held
+/// ([`Sweep::hold`]) before it is answered `Wait { ms: 0 }`; the retry
+/// delay in the `Wait` that [`Sweep::answer`] returns for such a `Lease`.
 const WAIT_MS: u64 = 100;
 
 /// Runs one cell of `cfg` — golden run plus one campaign per structure —
@@ -240,21 +241,37 @@ impl LeaseBoard {
             .count()
     }
 
+    /// How many more cells the budget lets this board lease: executed
+    /// plus leased cells never exceed it.
+    fn budget_room(&self) -> usize {
+        self.budget.map_or(usize::MAX, |budget| {
+            let leased = self
+                .states
+                .iter()
+                .filter(|s| matches!(s, CellState::Leased { .. }))
+                .count();
+            budget.saturating_sub(self.executed + leased)
+        })
+    }
+
+    /// The earliest deadline of a current lease, if any.
+    fn next_deadline_ms(&self) -> Option<u64> {
+        self.states
+            .iter()
+            .filter_map(|s| match s {
+                CellState::Leased { deadline_ms, .. } => Some(*deadline_ms),
+                _ => None,
+            })
+            .min()
+    }
+
     /// Grants up to `want` pending cells (plan order) to `worker`,
     /// reclaiming expired leases first and never letting executed plus
     /// leased cells exceed the budget. Returns `(cell index, lease id,
     /// deadline)` triples.
     fn grant(&mut self, worker: &str, want: usize, now_ms: u64) -> Vec<(usize, u64, u64)> {
         self.reclaim_expired(now_ms);
-        let mut want = want;
-        if let Some(budget) = self.budget {
-            let leased = self
-                .states
-                .iter()
-                .filter(|s| matches!(s, CellState::Leased { .. }))
-                .count();
-            want = want.min(budget.saturating_sub(self.executed + leased));
-        }
+        let want = want.min(self.budget_room());
         let deadline_ms = now_ms.saturating_add(self.lease_ms);
         let mut grants = Vec::new();
         for (idx, state) in self.states.iter_mut().enumerate() {
@@ -324,6 +341,9 @@ pub(crate) struct Sweep<'a> {
     pub(crate) plan: Plan,
     store: Option<&'a ResultStore>,
     board: Mutex<LeaseBoard>,
+    /// Notified on every board change a held `Lease` may be waiting for:
+    /// a submission accepted or rolled back, a release, a failure.
+    changed: Condvar,
     /// Cells one worker may hold at once.
     pub(crate) max_inflight: usize,
     progress: &'a (dyn Fn(&str) + Sync),
@@ -351,6 +371,7 @@ impl<'a> Sweep<'a> {
         Ok(Sweep {
             config,
             board: Mutex::new(LeaseBoard::new(plan.cells.len(), lease_ms)),
+            changed: Condvar::new(),
             plan,
             store,
             max_inflight: usize::MAX,
@@ -416,6 +437,7 @@ impl<'a> Sweep<'a> {
     pub(crate) fn fail(&self, error: StudyError) {
         let mut board = self.board.lock().expect("lease board");
         board.error.get_or_insert(error);
+        self.changed.notify_all();
     }
 
     /// Answers one request from `worker`, whatever link carried it.
@@ -435,6 +457,47 @@ impl<'a> Sweep<'a> {
                 self.release(worker, "bye");
                 Response::Bye
             }
+        }
+    }
+
+    /// Holds a remote `Lease` for up to `want` cells that
+    /// [`Sweep::answer`] found nothing grantable for, until the board can
+    /// say more than "wait": `Done` once the sweep settles, `Wait { ms: 0 }`
+    /// (ask again now) once a cell `worker` could be granted is pending
+    /// again, because a worker disconnected or a lease passed its
+    /// deadline, and `Wait { ms: 0 }` after [`WAIT_MS`] otherwise.
+    ///
+    /// A hold never grants: a cell goes only to a `Lease` that finds it
+    /// pending when it arrives, so a peer that vanished without a FIN
+    /// while its `Lease` was held is never handed one. A worker at its
+    /// `max_inflight` cap keeps holding while cells are pending, so no
+    /// client can spin on `Wait { ms: 0 }`.
+    pub(crate) fn hold(&self, worker: &str, want: usize) -> Response {
+        let until = Instant::now() + Duration::from_millis(WAIT_MS);
+        let mut board = self.board.lock().expect("lease board");
+        loop {
+            if board.all_done() || board.error.is_some() {
+                return Response::Done;
+            }
+            let now_ms = self.t0.elapsed().as_millis() as u64;
+            board.reclaim_expired(now_ms);
+            let room = want
+                .min(self.max_inflight.saturating_sub(board.inflight(worker)))
+                .min(board.budget_room());
+            let left = until.saturating_duration_since(Instant::now());
+            if left.is_zero() || (room > 0 && board.states.contains(&CellState::Pending)) {
+                return Response::Wait { ms: 0 };
+            }
+            // An expiry changes the board without a notification, so wake
+            // at the first lease deadline too.
+            let expiry = board.next_deadline_ms().map_or(left, |deadline_ms| {
+                Duration::from_millis(deadline_ms.saturating_sub(now_ms))
+            });
+            board = self
+                .changed
+                .wait_timeout(board, left.min(expiry))
+                .expect("lease board")
+                .0;
         }
     }
 
@@ -528,6 +591,9 @@ impl<'a> Sweep<'a> {
             // nothing to do.
             return Response::Accepted { lease };
         }
+        // The cell is done, or its rollback below records a failure; either
+        // may settle the sweep for a held `Lease` once the lock is dropped.
+        self.changed.notify_all();
         // Persist before acknowledging, so a kill after the ack never
         // loses an accepted cell.
         if let Some(store) = self.store {
@@ -590,6 +656,7 @@ impl<'a> Sweep<'a> {
             .lock()
             .expect("lease board")
             .release_worker(worker);
+        self.changed.notify_all();
         event!(
             to self.log.as_deref();
             if released > 0 { Level::Warn } else { Level::Info },
@@ -1064,5 +1131,71 @@ mod tests {
         };
         assert_eq!(b.call(Request::Lease { want: 1 }).unwrap(), Response::Done);
         assert!(!sweep.settled(), "the leased cells are still outstanding");
+    }
+
+    /// Runs `hold(worker, 1)` on another thread while `change` runs on this
+    /// one; returns the reply and how long the hold took.
+    fn hold_across(sweep: &Sweep, worker: &str, change: impl FnOnce()) -> (Response, Duration) {
+        std::thread::scope(|scope| {
+            let held = scope.spawn(|| {
+                let t = Instant::now();
+                (sweep.hold(worker, 1), t.elapsed())
+            });
+            // Only makes the waiting path the likely one; every interleaving
+            // must give the same reply.
+            std::thread::sleep(Duration::from_millis(20));
+            change();
+            held.join().expect("holding thread")
+        })
+    }
+
+    fn inflight(sweep: &Sweep, worker: &str) -> usize {
+        sweep.board.lock().expect("lease board").inflight(worker)
+    }
+
+    #[test]
+    fn a_held_lease_never_grants_and_answers_when_the_board_allows() {
+        let cfg = tiny_config();
+        let wait_ms = Duration::from_millis(WAIT_MS);
+        let leases = |reply| match reply {
+            Response::Leases { grants } => grants.len(),
+            other => panic!("expected grants, got {other:?}"),
+        };
+
+        let sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
+        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 4);
+        // Nothing changes: ask again after WAIT_MS.
+        let (reply, waited) = hold_across(&sweep, "b", || {});
+        assert_eq!(reply, Response::Wait { ms: 0 });
+        assert!(waited >= wait_ms, "{waited:?}");
+        // The holder of every cell disconnects: ask again now.
+        let (reply, waited) = hold_across(&sweep, "b", || sweep.release("a", "gone"));
+        assert_eq!(reply, Response::Wait { ms: 0 });
+        assert!(waited < wait_ms, "{waited:?}");
+        assert_eq!(inflight(&sweep, "b"), 0, "a hold never grants");
+        assert_eq!(leases(sweep.answer("b", Request::Lease { want: 4 })), 4);
+        // A failure settles the sweep: Done at once.
+        let (reply, waited) = hold_across(&sweep, "c", || {
+            sweep.fail(StudyError::Config("test".to_string()))
+        });
+        assert_eq!(reply, Response::Done);
+        assert!(waited < wait_ms, "{waited:?}");
+
+        // A lease passes its deadline while held: ask again now.
+        let sweep = Sweep::new(&cfg, None, 40, &|_| {}).unwrap();
+        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 4);
+        let t = Instant::now();
+        assert_eq!(sweep.hold("b", 1), Response::Wait { ms: 0 });
+        assert!(t.elapsed() < wait_ms, "{:?}", t.elapsed());
+        assert_eq!(inflight(&sweep, "b"), 0, "a hold never grants");
+
+        // A worker at its cap keeps holding while cells are pending.
+        let mut sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
+        sweep.max_inflight = 1;
+        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 1);
+        let t = Instant::now();
+        assert_eq!(sweep.hold("a", 1), Response::Wait { ms: 0 });
+        assert!(t.elapsed() >= wait_ms, "{:?}", t.elapsed());
+        assert_eq!(inflight(&sweep, "a"), 1);
     }
 }

@@ -225,7 +225,16 @@ impl ConnCtx<'_> {
                 }
             };
             let bye = matches!(request, Request::Bye);
-            let response = self.sweep.answer(&worker, request);
+            let want = match request {
+                Request::Lease { want } => Some(want),
+                _ => None,
+            };
+            let mut response = self.sweep.answer(&worker, request);
+            if let (Some(want), Response::Wait { .. }) = (want, &response) {
+                // Answer when the board can say more than "wait": the
+                // worker blocks on this reply instead of sleeping.
+                response = self.sweep.hold(&worker, want);
+            }
             if self.sweep.settled() && !self.done_flag.swap(true, Ordering::AcqRel) {
                 // The accept loop blocks in `accept`; a throwaway
                 // connection makes it re-check the done flag.
@@ -243,9 +252,11 @@ impl ConnCtx<'_> {
     }
 
     /// Performs the version handshake; returns the connection-unique
-    /// worker name.
+    /// worker name. The `Hello` is read under the 64 KiB cap, not
+    /// `MAX_FRAME`: whoever connects is unknown until it has been
+    /// welcomed, and each connection has a thread of its own.
     fn hello(&self, stream: &mut TcpStream) -> Option<String> {
-        let request: Request = wire::read_frame(stream).ok()?;
+        let request: Request = wire::read_frame_within(stream, wire::READ_CAP).ok()?;
         let reason = match request {
             Request::Hello { version, .. } if version != PROTOCOL_VERSION => format!(
                 "protocol version mismatch: coordinator {PROTOCOL_VERSION}, worker {version}"

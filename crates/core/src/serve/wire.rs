@@ -40,8 +40,9 @@ pub const PROTOCOL_VERSION: u32 = 1;
 pub const MAX_FRAME: usize = 64 << 20;
 
 /// Starting capacity of a frame's payload buffer; larger frames grow it
-/// as their bytes arrive.
-const READ_CAP: usize = 64 << 10;
+/// as their bytes arrive. Also the cap on a peer's `Hello`, read before
+/// anything is known about the peer.
+pub(crate) const READ_CAP: usize = 64 << 10;
 
 /// One leased cell: everything a worker needs to execute it and submit
 /// the result back under the right address.
@@ -116,7 +117,10 @@ pub enum Response {
         grants: Vec<LeaseGrant>,
     },
     /// Nothing grantable right now (every remaining cell is leased out);
-    /// retry after `ms` milliseconds.
+    /// retry after `ms` milliseconds. The coordinator holds such a `Lease`
+    /// until a cell could be granted again or 100 ms pass, and then sends
+    /// `ms: 0`: ask again now. A held `Lease` is answered `Done` as soon as
+    /// the study completes.
     Wait {
         /// Suggested retry delay.
         ms: u64,
@@ -174,13 +178,22 @@ pub fn write_frame<T: Serialize>(w: &mut impl Write, msg: &T) -> std::io::Result
 /// (including a read-timeout `WouldBlock`/`TimedOut`, which callers treat
 /// as a dead peer).
 pub fn read_frame<T: Deserialize>(r: &mut impl Read) -> std::io::Result<T> {
+    read_frame_within(r, MAX_FRAME)
+}
+
+/// [`read_frame`] with a tighter cap: a length prefix above `cap` bytes is
+/// `InvalidData` before any of its payload is read.
+pub(crate) fn read_frame_within<T: Deserialize>(
+    r: &mut impl Read,
+    cap: usize,
+) -> std::io::Result<T> {
     let mut len = [0u8; 4];
     r.read_exact(&mut len)?;
     let len = u32::from_be_bytes(len) as usize;
-    if len > MAX_FRAME {
+    if len > cap {
         return Err(std::io::Error::new(
             std::io::ErrorKind::InvalidData,
-            format!("frame length {len} exceeds MAX_FRAME"),
+            format!("frame length {len} exceeds the {cap}-byte cap"),
         ));
     }
     // Grow with what arrives, not with what the peer declares: a length
@@ -323,16 +336,30 @@ mod tests {
         );
     }
 
-    /// A reader that records the largest buffer it is asked to fill.
+    /// A reader that records the largest buffer it is asked to fill and
+    /// the bytes it handed out.
     struct Probe<'a> {
         data: &'a [u8],
         largest: usize,
+        consumed: usize,
+    }
+
+    impl<'a> Probe<'a> {
+        fn new(data: &'a [u8]) -> Probe<'a> {
+            Probe {
+                data,
+                largest: 0,
+                consumed: 0,
+            }
+        }
     }
 
     impl Read for Probe<'_> {
         fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
             self.largest = self.largest.max(buf.len());
-            self.data.read(buf)
+            let n = self.data.read(buf)?;
+            self.consumed += n;
+            Ok(n)
         }
     }
 
@@ -340,10 +367,7 @@ mod tests {
     fn a_declared_length_allocates_nothing_until_its_bytes_arrive() {
         let mut data = (MAX_FRAME as u32).to_be_bytes().to_vec();
         data.extend_from_slice(&[b' '; 10]);
-        let mut probe = Probe {
-            data: &data,
-            largest: 0,
-        };
+        let mut probe = Probe::new(&data);
         let err = read_frame::<Request>(&mut probe).unwrap_err();
         assert_eq!(err.kind(), std::io::ErrorKind::UnexpectedEof);
         assert!(
@@ -351,6 +375,23 @@ mod tests {
             "asked for {} bytes before they arrived",
             probe.largest
         );
+
+        // A well-formed `Hello` of READ_CAP + 1 bytes: `read_frame` takes
+        // it, while the `Hello` cap refuses it before reading its payload.
+        let named = |worker: String| Request::Hello {
+            version: PROTOCOL_VERSION,
+            worker,
+        };
+        let empty = serde_json::to_string(&named(String::new())).unwrap().len();
+        let hello = named("w".repeat(READ_CAP + 1 - empty));
+        let mut data = Vec::new();
+        write_frame(&mut data, &hello).unwrap();
+        assert_eq!(data.len(), 4 + READ_CAP + 1);
+        assert_eq!(read_frame::<Request>(&mut data.as_slice()).unwrap(), hello);
+        let mut probe = Probe::new(&data);
+        let err = read_frame_within::<Request>(&mut probe, READ_CAP).unwrap_err();
+        assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+        assert_eq!(probe.consumed, 4, "only the length prefix was read");
     }
 
     #[test]

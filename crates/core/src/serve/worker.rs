@@ -188,8 +188,10 @@ pub(crate) fn work(
                     execute_grant(link, config, plan, units, grant, &mut report)?;
                 }
             }
+            // `ms: 0` is "ask again now": the coordinator held this
+            // Lease until the board changed.
             Response::Wait { ms } => {
-                std::thread::sleep(Duration::from_millis(ms.clamp(10, 2_000)));
+                std::thread::sleep(Duration::from_millis(ms.min(2_000)));
             }
             Response::Done => break,
             other => {

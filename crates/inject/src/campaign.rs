@@ -746,33 +746,32 @@ impl<'a> Injector<'a> {
     /// just enough to reach a target margin.
     fn sample_plan(&self, structure: Structure, cfg: &CampaignConfig) -> Vec<FaultSpec> {
         let sampler = cfg.plan.sampler;
-        match cfg.plan.stop {
-            StopRule::FixedN(n) => sampler.sample(self, structure, n, cfg.seed),
+        let n = match cfg.plan.stop {
+            StopRule::FixedN(n) => n,
             StopRule::TargetMargin { target, batch } => {
-                self.sample_adaptive(structure, target, batch.max(1), sampler, cfg.seed)
+                self.adaptive_size(structure, target, batch.max(1), sampler)
             }
-        }
+        };
+        sampler.sample(self, structure, n, cfg.seed)
     }
 
-    /// Samples just enough faults to push the worst-case AVF error margin
-    /// at 99% confidence down to `target`, growing in batches of `batch`.
-    /// The resulting sample size depends only on the sampler's population
-    /// and weight and the target, and both samplers are prefix-stable, so
-    /// the adaptive sample equals a fixed-size sample of the same count.
-    /// Under an importance sampler the margin is the reweighted one over
-    /// the live subpopulation, which is what makes sparse structures stop
+    /// How many faults push the worst-case AVF error margin at 99%
+    /// confidence down to `target`, growing in batches of `batch`. The
+    /// size depends only on the sampler's population and weight and the
+    /// target, and both samplers are prefix-stable, so the adaptive sample
+    /// equals a fixed-size sample of the same count. Under an importance
+    /// sampler the margin is the reweighted one over the live
+    /// subpopulation, which is what makes sparse structures stop
     /// ~`weight²`× earlier.
-    fn sample_adaptive(
+    fn adaptive_size(
         &self,
         structure: Structure,
         target: f64,
         batch: u64,
         sampler: SamplerKind,
-        seed: u64,
-    ) -> Vec<FaultSpec> {
-        let bits = self.bit_count(structure);
-        if bits == 0 {
-            return Vec::new();
+    ) -> u64 {
+        if self.bit_count(structure) == 0 {
+            return 0;
         }
         let population = sampler.population(self, structure);
         let weight = sampler.weight(self, structure);
@@ -796,7 +795,7 @@ impl<'a> Injector<'a> {
             target,
             population
         );
-        sampler.sample(self, structure, n, seed)
+        n
     }
 }
 
@@ -849,6 +848,11 @@ impl Planned<'_> {
             .map(|(_, &f)| f)
     }
 }
+
+/// The most faults the uniform cross-check of an importance campaign in
+/// verify mode draws: twice the largest sample `just verify-check` draws
+/// there (100,425 faults, A15 qsort O2 `l1i.data`).
+const VERIFY_UNIFORM_CAP: u64 = 200_000;
 
 impl<'r, 'a> CampaignRun<'r, 'a> {
     /// Streams every per-fault classification to `observer` as it is made
@@ -1200,13 +1204,19 @@ impl<'r, 'a> CampaignRun<'r, 'a> {
         if !(result.live_population.is_some_and(|n| n > 0) && margin.is_finite() && margin > 0.0) {
             return;
         }
+        // Sized to the achieved margin, but a tight margin on a huge
+        // structure would ask for a census: the cap only widens the uniform
+        // margin, which the comparison below adds in.
+        let batch = self.cfg.plan.injections().max(1);
+        let n = self
+            .injector
+            .adaptive_size(structure, margin, batch, SamplerKind::Uniform)
+            .min(VERIFY_UNIFORM_CAP);
+        sp.record("uniform_faults", n);
         let uniform_cfg = CampaignConfig {
             plan: SamplingPlan {
                 sampler: SamplerKind::Uniform,
-                stop: StopRule::TargetMargin {
-                    target: margin,
-                    batch: self.cfg.plan.injections().max(1),
-                },
+                stop: StopRule::FixedN(n),
                 ..unpruned
             },
             ..self.cfg
@@ -3048,6 +3058,33 @@ mod tests {
                 assert_eq!(out.classes, expected.classes, "{s}: {verify:?}");
             }
         }
+    }
+
+    #[test]
+    fn importance_verify_on_a_huge_structure_caps_its_uniform_sample() {
+        // A short program's L2 data array: a few live sites among millions,
+        // so three importance draws reach a margin that only a census of the
+        // uniform population would match, and sizing the cross-check to it
+        // reserved terabytes and aborted. The cross-check now draws at most
+        // VERIFY_UNIFORM_CAP faults and still agrees.
+        let (cfg, program) = setup();
+        let s = Structure::L2Data;
+        let plan = SamplingPlan::fixed(3).sampler(SamplerKind::Importance);
+        let inj = Injector::for_plan(&cfg, &program, &plan).unwrap();
+        let run = |plan| {
+            let cc = CampaignConfig {
+                plan,
+                seed: 4,
+                ..CampaignConfig::default()
+            };
+            inj.run(s, &cc).execute()
+        };
+        let plain = run(plan);
+        let census = inj.adaptive_size(s, plain.result.margin_99(), 3, SamplerKind::Uniform);
+        assert!(census > 1_000 * VERIFY_UNIFORM_CAP, "{census}");
+        let verified = run(plan.prune(PruneMode::Verify));
+        assert_eq!(verified.result, plain.result);
+        assert_eq!(verified.classes, plain.classes);
     }
 
     #[test]

@@ -155,5 +155,47 @@ profile:
 studybench-check:
     cargo test --manifest-path studybench/Cargo.toml
 
+# Paired A/B of the study benchmark against BASE (a commit). Builds BASE
+# from `git archive` and the working tree (tracked plus untracked,
+# non-ignored files) into fresh target/ab/base and target/ab/change, and
+# each side's studybench offline (every dependency is vendored). Then runs
+# every BENCHMARK.json workload PAIRS times per side at seed 1, switching
+# which side runs first on each pair, appends each run's last line (tagged
+# with pair, side and workload) to target/ab/runs.jsonl, and prints
+# `bench_gate --paired` over it: per workload and end-to-end metric, both
+# medians with quartiles, the median per-pair ratio, the pairs the change
+# won, and `unresolved` where the base runs spread wider than the bound.
+# Fresh directories on both sides also keep studybench's work directory,
+# which sits next to its executable, equally new on both. It only
+# reports: the absolute gates above stay as they are.
+studybench-ab BASE PAIRS="10" SECONDS="35":
+    #!/usr/bin/env bash
+    set -euo pipefail
+    rm -rf target/ab
+    mkdir -p target/ab/base target/ab/change
+    git archive {{BASE}} | tar -x -C target/ab/base
+    git ls-files -z --cached --others --exclude-standard \
+        | tar --null --files-from=- --ignore-failed-read -c \
+        | tar -x -C target/ab/change
+    for side in base change; do
+        cargo build --release --offline --quiet \
+            --manifest-path target/ab/$side/studybench/Cargo.toml
+    done
+    for pair in $(seq 1 {{PAIRS}}); do
+        sides="base change"
+        (( pair % 2 )) || sides="change base"
+        for workload in $(jq -r '.workloads[].name' BENCHMARK.json); do
+            for side in $sides; do
+                line=$(cd target/ab/$side && cargo run --release --offline --quiet \
+                    --manifest-path studybench/Cargo.toml -- --workload $workload \
+                    --seed 1 --seconds {{SECONDS}} --trace 0 | tail -1)
+                echo "{\"pair\": $pair, \"side\": \"$side\", \"workload\": \"$workload\", \"run\": $line}" \
+                    >> target/ab/runs.jsonl
+            done
+        done
+    done
+    cargo run --release --quiet -p softerr-bench --bin bench_gate -- \
+        --paired target/ab/runs.jsonl
+
 # Everything the CI gate requires.
 ci: test lint lint-ir verify-check serve-check studybench-check bench-gate

@@ -7,7 +7,7 @@
 //! leases must cost wall-clock time only, never cells or correctness.
 
 use serde::{obj_get, Value};
-use softerr::serve::{read_frame, write_frame, Request, Response, PROTOCOL_VERSION};
+use softerr::serve::{read_frame, write_frame, LeaseGrant, Request, Response, PROTOCOL_VERSION};
 use softerr::{
     cell_config_hash, CellKey, Coordinator, MachineConfig, OptLevel, Orchestrator, ResultStore,
     SamplingPlan, Structure, StudyConfig, StudyError, StudyResults, SweepReport, WorkerOptions,
@@ -542,4 +542,217 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         "median Lease round trip {:?} (all: {rtts:?})",
         rtts[5]
     );
+}
+
+/// One cell per level of `levels`: the A15 running qsort, the register
+/// file only, two faults.
+fn small_config(seed: u64, levels: Vec<OptLevel>) -> StudyConfig {
+    StudyConfig {
+        machines: vec![MachineConfig::cortex_a15()],
+        workloads: vec![Workload::Qsort],
+        levels,
+        structures: vec![Structure::RegFile],
+        plan: SamplingPlan::fixed(2),
+        ..tiny_config(seed)
+    }
+}
+
+/// One request out, one reply back.
+fn call(stream: &mut TcpStream, request: &Request) -> Response {
+    write_frame(stream, request).expect("request");
+    read_frame(stream).expect("reply")
+}
+
+/// A raw client the coordinator has welcomed.
+fn greet(addr: &str, name: &str) -> TcpStream {
+    let mut stream = TcpStream::connect(addr).expect("connect");
+    stream.set_nodelay(true).expect("nodelay");
+    let hello = Request::Hello {
+        version: PROTOCOL_VERSION,
+        worker: name.into(),
+    };
+    match call(&mut stream, &hello) {
+        Response::Welcome { .. } => stream,
+        other => panic!("expected Welcome, got {other:?}"),
+    }
+}
+
+/// Leases exactly one cell.
+fn lease_one(stream: &mut TcpStream) -> LeaseGrant {
+    match call(stream, &Request::Lease { want: 1 }) {
+        Response::Leases { mut grants } if grants.len() == 1 => grants.remove(0),
+        other => panic!("expected one grant, got {other:?}"),
+    }
+}
+
+/// Submits the serial run's result for `grant`.
+fn submit(stream: &mut TcpStream, grant: LeaseGrant, serial: &StudyResults) -> Response {
+    let key = &grant.key;
+    let result = serial
+        .cell(&key.machine, key.workload, key.level)
+        .expect("a planned cell")
+        .clone();
+    let request = Request::Submit {
+        lease: grant.lease,
+        hash: grant.hash,
+        key: grant.key,
+        result,
+    };
+    call(stream, &request)
+}
+
+/// The coordinator's longest hold of a `Lease` with nothing grantable.
+const WAIT: Duration = Duration::from_millis(100);
+
+/// A worker that asks for work while the last cell runs elsewhere is
+/// never told to sleep, and learns `Done` with the submitter's `Accepted`
+/// (it used to be told `Wait { ms: 100 }` and learn it up to 100 ms late).
+#[test]
+fn a_held_lease_learns_done_when_the_last_cell_completes() {
+    let cfg = small_config(83, vec![OptLevel::O0]);
+    let serial = Orchestrator::new(cfg.clone()).run().expect("serial run");
+    let dir = temp_dir("hold-done");
+    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
+    let (report, ()) = serve_with(coordinator, |addr| {
+        let mut a = greet(addr, "a");
+        let grant = lease_one(&mut a);
+        let mut b = greet(addr, "b");
+        let (asked, asking) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            let b = scope.spawn(move || loop {
+                match call(&mut b, &Request::Lease { want: 1 }) {
+                    Response::Wait { ms } => {
+                        assert_eq!(ms, 0, "a held Lease is told to ask again now");
+                        let _ = asked.send(());
+                    }
+                    Response::Done => {
+                        let done = Instant::now();
+                        call(&mut b, &Request::Bye);
+                        return done;
+                    }
+                    other => panic!("expected Wait or Done, got {other:?}"),
+                }
+            });
+            asking
+                .recv()
+                .expect("b asks for work while a holds the cell");
+            let reply = submit(&mut a, grant, &serial);
+            let accepted = Instant::now();
+            assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+            call(&mut a, &Request::Bye);
+            let done = b.join().expect("b");
+            let gap = done.max(accepted) - done.min(accepted);
+            assert!(
+                gap < Duration::from_millis(20),
+                "Done {gap:?} from Accepted"
+            );
+        });
+    });
+    assert_eq!(report.results, serial);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The holder of the only cell vanishes without `Bye` while another
+/// worker's Lease is held: that Lease is told to ask again now, never
+/// handed the cell, and the next Lease is.
+#[test]
+fn a_held_lease_asks_again_when_the_holder_disconnects() {
+    let cfg = small_config(84, vec![OptLevel::O0]);
+    let serial = Orchestrator::new(cfg.clone()).run().expect("serial run");
+    let dir = temp_dir("hold-release");
+    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
+    let (report, ()) = serve_with(coordinator, |addr| {
+        let mut a = greet(addr, "a");
+        let grant = lease_one(&mut a);
+        let mut b = greet(addr, "b");
+        write_frame(&mut b, &Request::Lease { want: 1 }).unwrap();
+        // Time for the coordinator to start holding b's Lease.
+        std::thread::sleep(Duration::from_millis(30));
+        drop(a);
+        assert_eq!(
+            read_frame::<Response>(&mut b).unwrap(),
+            Response::Wait { ms: 0 }
+        );
+        let regrant = lease_one(&mut b);
+        assert_eq!(regrant.key, grant.key, "the released cell");
+        let reply = submit(&mut b, regrant, &serial);
+        assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+        assert_eq!(call(&mut b, &Request::Lease { want: 1 }), Response::Done);
+        call(&mut b, &Request::Bye);
+    });
+    assert_eq!(report.results, serial);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// With nothing changing on the board, a held Lease is answered
+/// `Wait { ms: 0 }` after the hold, well inside the lease deadline.
+#[test]
+fn a_held_lease_asks_again_after_the_hold_when_nothing_changes() {
+    let cfg = small_config(85, vec![OptLevel::O0]);
+    let dir = temp_dir("hold-idle");
+    let coordinator =
+        Coordinator::new(cfg, ResultStore::open(&dir).expect("store")).lease_ms(10_000);
+    let (report, ()) = serve_with(coordinator, |addr| {
+        let mut a = greet(addr, "a");
+        lease_one(&mut a);
+        let mut b = greet(addr, "b");
+        let t = Instant::now();
+        let reply = call(&mut b, &Request::Lease { want: 1 });
+        let held = t.elapsed();
+        assert_eq!(reply, Response::Wait { ms: 0 });
+        assert!(WAIT <= held && held < Duration::from_secs(1), "{held:?}");
+        call(&mut a, &Request::Bye);
+        call(&mut b, &Request::Bye);
+        softerr::run_worker(addr, &WorkerOptions::default()).expect("worker");
+    });
+    assert_eq!(report.executed, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A worker at its `max_inflight` cap keeps holding while other cells are
+/// pending, so it cannot spin on `Wait { ms: 0 }`.
+#[test]
+fn a_worker_at_its_cap_keeps_holding_while_cells_are_pending() {
+    let cfg = small_config(86, vec![OptLevel::O0, OptLevel::O2]);
+    let dir = temp_dir("hold-cap");
+    let coordinator =
+        Coordinator::new(cfg, ResultStore::open(&dir).expect("store")).max_inflight(1);
+    let (report, ()) = serve_with(coordinator, |addr| {
+        let mut a = greet(addr, "a");
+        lease_one(&mut a);
+        let t = Instant::now();
+        let reply = call(&mut a, &Request::Lease { want: 1 });
+        let held = t.elapsed();
+        assert_eq!(reply, Response::Wait { ms: 0 });
+        assert!(held >= WAIT, "{held:?}");
+        call(&mut a, &Request::Bye);
+        softerr::run_worker(addr, &WorkerOptions::default()).expect("worker");
+    });
+    assert_eq!(report.executed, 2);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A `Hello` is read under a 64 KiB cap: a well-formed one with a 100 KB
+/// worker name is refused without a `Welcome`, and an honest worker still
+/// completes the study.
+#[test]
+fn an_oversized_hello_is_refused_and_honest_workers_prevail() {
+    let cfg = small_config(87, vec![OptLevel::O0]);
+    let dir = temp_dir("big-hello");
+    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
+    let (report, honest) = serve_with(coordinator, |addr| {
+        let mut stream = TcpStream::connect(addr).expect("connect");
+        let hello = Request::Hello {
+            version: PROTOCOL_VERSION,
+            worker: "w".repeat(100_000),
+        };
+        // The coordinator may close before the whole frame is written.
+        let _ = write_frame(&mut stream, &hello);
+        let reply = read_frame::<Response>(&mut stream);
+        assert!(reply.is_err(), "an oversized Hello was answered {reply:?}");
+        softerr::run_worker(addr, &WorkerOptions::default()).expect("honest worker")
+    });
+    assert_eq!(honest.completed, 1);
+    assert_eq!(report.executed, 1);
+    std::fs::remove_dir_all(&dir).ok();
 }
