@@ -40,8 +40,9 @@ use std::sync::{Condvar, Mutex, OnceLock};
 use std::time::{Duration, Instant};
 
 /// The longest a remote `Lease` with nothing grantable is held
-/// ([`Sweep::hold`]) before it is answered `Wait { ms: 0 }`; the retry
-/// delay in the `Wait` that [`Sweep::answer`] returns for such a `Lease`.
+/// ([`Sweep::hold`]) before it is answered `Wait { ms: 0 }`; also the
+/// retry delay in the `Wait` that [`Sweep::answer`] returns for such a
+/// `Lease`, which the coordinator holds instead of sending.
 const WAIT_MS: u64 = 100;
 
 /// Runs one cell of `cfg` — golden run plus one campaign per structure —
@@ -241,37 +242,21 @@ impl LeaseBoard {
             .count()
     }
 
-    /// How many more cells the budget lets this board lease: executed
-    /// plus leased cells never exceed it.
-    fn budget_room(&self) -> usize {
-        self.budget.map_or(usize::MAX, |budget| {
-            let leased = self
-                .states
-                .iter()
-                .filter(|s| matches!(s, CellState::Leased { .. }))
-                .count();
-            budget.saturating_sub(self.executed + leased)
-        })
-    }
-
-    /// The earliest deadline of a current lease, if any.
-    fn next_deadline_ms(&self) -> Option<u64> {
-        self.states
-            .iter()
-            .filter_map(|s| match s {
-                CellState::Leased { deadline_ms, .. } => Some(*deadline_ms),
-                _ => None,
-            })
-            .min()
-    }
-
     /// Grants up to `want` pending cells (plan order) to `worker`,
     /// reclaiming expired leases first and never letting executed plus
     /// leased cells exceed the budget. Returns `(cell index, lease id,
     /// deadline)` triples.
     fn grant(&mut self, worker: &str, want: usize, now_ms: u64) -> Vec<(usize, u64, u64)> {
         self.reclaim_expired(now_ms);
-        let want = want.min(self.budget_room());
+        let mut want = want;
+        if let Some(budget) = self.budget {
+            let leased = self
+                .states
+                .iter()
+                .filter(|s| matches!(s, CellState::Leased { .. }))
+                .count();
+            want = want.min(budget.saturating_sub(self.executed + leased));
+        }
         let deadline_ms = now_ms.saturating_add(self.lease_ms);
         let mut grants = Vec::new();
         for (idx, state) in self.states.iter_mut().enumerate() {
@@ -324,6 +309,11 @@ impl LeaseBoard {
 
     fn all_done(&self) -> bool {
         self.done == self.states.len()
+    }
+
+    /// Every cell done, or a failure recorded.
+    fn settled(&self) -> bool {
+        self.all_done() || self.error.is_some()
     }
 }
 
@@ -429,8 +419,7 @@ impl<'a> Sweep<'a> {
 
     /// Whether the sweep is over: every cell done, or a failure recorded.
     pub(crate) fn settled(&self) -> bool {
-        let board = self.board.lock().expect("lease board");
-        board.all_done() || board.error.is_some()
+        self.board.lock().expect("lease board").settled()
     }
 
     /// Records a failure; the first one wins and stops all granting.
@@ -460,51 +449,38 @@ impl<'a> Sweep<'a> {
         }
     }
 
-    /// Holds a remote `Lease` for up to `want` cells that
-    /// [`Sweep::answer`] found nothing grantable for, until the board can
-    /// say more than "wait": `Done` once the sweep settles, `Wait { ms: 0 }`
-    /// (ask again now) once a cell `worker` could be granted is pending
-    /// again, because a worker disconnected or a lease passed its
-    /// deadline, and `Wait { ms: 0 }` after [`WAIT_MS`] otherwise.
+    /// Holds a remote `Lease` that [`Sweep::answer`] found nothing
+    /// grantable for until the board changes (a submission accepted or
+    /// rolled back, a release, a failure) or [`WAIT_MS`] pass; answers
+    /// `Done` if the sweep has settled by then, else `Wait { ms: 0 }` (ask
+    /// again now).
     ///
-    /// A hold never grants: a cell goes only to a `Lease` that finds it
-    /// pending when it arrives, so a peer that vanished without a FIN
-    /// while its `Lease` was held is never handed one. A worker at its
-    /// `max_inflight` cap keeps holding while cells are pending, so no
-    /// client can spin on `Wait { ms: 0 }`.
-    pub(crate) fn hold(&self, worker: &str, want: usize) -> Response {
-        let until = Instant::now() + Duration::from_millis(WAIT_MS);
-        let mut board = self.board.lock().expect("lease board");
-        loop {
-            if board.all_done() || board.error.is_some() {
-                return Response::Done;
-            }
-            let now_ms = self.t0.elapsed().as_millis() as u64;
-            board.reclaim_expired(now_ms);
-            let room = want
-                .min(self.max_inflight.saturating_sub(board.inflight(worker)))
-                .min(board.budget_room());
-            let left = until.saturating_duration_since(Instant::now());
-            if left.is_zero() || (room > 0 && board.states.contains(&CellState::Pending)) {
-                return Response::Wait { ms: 0 };
-            }
-            // An expiry changes the board without a notification, so wake
-            // at the first lease deadline too.
-            let expiry = board.next_deadline_ms().map_or(left, |deadline_ms| {
-                Duration::from_millis(deadline_ms.saturating_sub(now_ms))
-            });
-            board = self
-                .changed
-                .wait_timeout(board, left.min(expiry))
-                .expect("lease board")
-                .0;
+    /// A hold never grants: the next `Lease` decides, so a cell goes only
+    /// to a peer still asking for it, and one that vanished without a FIN
+    /// while its `Lease` was held is never handed a cell. A worker at its
+    /// `max_inflight` cap is held again by that `Lease`, so it costs at
+    /// most one round trip per board change and cannot spin on
+    /// `Wait { ms: 0 }`.
+    pub(crate) fn hold(&self) -> Response {
+        let board = self.board.lock().expect("lease board");
+        if board.settled() {
+            return Response::Done;
+        }
+        let (board, _) = self
+            .changed
+            .wait_timeout(board, Duration::from_millis(WAIT_MS))
+            .expect("lease board");
+        if board.settled() {
+            Response::Done
+        } else {
+            Response::Wait { ms: 0 }
         }
     }
 
     fn lease(&self, worker: &str, want: usize) -> Response {
         let granted = {
             let mut board = self.board.lock().expect("lease board");
-            if board.all_done() || board.error.is_some() {
+            if board.settled() {
                 return Response::Done;
             }
             let headroom = self.max_inflight.saturating_sub(board.inflight(worker));
@@ -1133,69 +1109,68 @@ mod tests {
         assert!(!sweep.settled(), "the leased cells are still outstanding");
     }
 
-    /// Runs `hold(worker, 1)` on another thread while `change` runs on this
-    /// one; returns the reply and how long the hold took.
-    fn hold_across(sweep: &Sweep, worker: &str, change: impl FnOnce()) -> (Response, Duration) {
+    /// Holds on another thread while `change` runs on this one; returns
+    /// the reply and whether it came before `WAIT_MS`. A change that lands
+    /// while the hold waits wakes it; one that lands first leaves it to
+    /// time out.
+    fn hold_across(sweep: &Sweep, change: impl FnOnce()) -> (Response, bool) {
         std::thread::scope(|scope| {
             let held = scope.spawn(|| {
                 let t = Instant::now();
-                (sweep.hold(worker, 1), t.elapsed())
+                let reply = sweep.hold();
+                (reply, t.elapsed() < Duration::from_millis(WAIT_MS))
             });
-            // Only makes the waiting path the likely one; every interleaving
-            // must give the same reply.
             std::thread::sleep(Duration::from_millis(20));
             change();
             held.join().expect("holding thread")
         })
     }
 
-    fn inflight(sweep: &Sweep, worker: &str) -> usize {
-        sweep.board.lock().expect("lease board").inflight(worker)
-    }
-
     #[test]
-    fn a_held_lease_never_grants_and_answers_when_the_board_allows() {
+    fn a_held_lease_never_grants_and_wakes_on_a_board_change() {
         let cfg = tiny_config();
-        let wait_ms = Duration::from_millis(WAIT_MS);
-        let leases = |reply| match reply {
-            Response::Leases { grants } => grants.len(),
+        let sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
+        let lease_all = |worker| match sweep.answer(worker, Request::Lease { want: 4 }) {
+            Response::Leases { grants } => assert_eq!(grants.len(), 4),
             other => panic!("expected grants, got {other:?}"),
         };
+        let pending = || {
+            let board = sweep.board.lock().expect("lease board");
+            board.states.iter().all(|s| *s == CellState::Pending)
+        };
 
-        let sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
-        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 4);
         // Nothing changes: ask again after WAIT_MS.
-        let (reply, waited) = hold_across(&sweep, "b", || {});
-        assert_eq!(reply, Response::Wait { ms: 0 });
-        assert!(waited >= wait_ms, "{waited:?}");
-        // The holder of every cell disconnects: ask again now.
-        let (reply, waited) = hold_across(&sweep, "b", || sweep.release("a", "gone"));
-        assert_eq!(reply, Response::Wait { ms: 0 });
-        assert!(waited < wait_ms, "{waited:?}");
-        assert_eq!(inflight(&sweep, "b"), 0, "a hold never grants");
-        assert_eq!(leases(sweep.answer("b", Request::Lease { want: 4 })), 4);
-        // A failure settles the sweep: Done at once.
-        let (reply, waited) = hold_across(&sweep, "c", || {
-            sweep.fail(StudyError::Config("test".to_string()))
+        lease_all("a");
+        let t = Instant::now();
+        assert_eq!(sweep.hold(), Response::Wait { ms: 0 });
+        assert!(t.elapsed() >= Duration::from_millis(WAIT_MS));
+        // The holder of every cell disconnects: ask again now. A release
+        // that lands before the hold waits is retried, so only a release
+        // that never wakes a hold fails every attempt.
+        let woken = (0..5).any(|_| {
+            let (reply, woken) = hold_across(&sweep, || sweep.release("a", "gone"));
+            assert_eq!(reply, Response::Wait { ms: 0 });
+            assert!(pending(), "a hold never grants");
+            lease_all("a");
+            woken
         });
-        assert_eq!(reply, Response::Done);
-        assert!(waited < wait_ms, "{waited:?}");
-
-        // A lease passes its deadline while held: ask again now.
-        let sweep = Sweep::new(&cfg, None, 40, &|_| {}).unwrap();
-        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 4);
+        assert!(woken, "a release never woke the hold");
+        // A failure settles the sweep: Done, and at once whether it lands
+        // while the hold waits or before. Each attempt fails a fresh
+        // sweep, so a stalled host is retried.
+        let woken = (0..5).any(|_| {
+            let sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
+            let (reply, woken) = hold_across(&sweep, || {
+                sweep.fail(StudyError::Config("test".to_string()))
+            });
+            assert_eq!(reply, Response::Done);
+            woken
+        });
+        assert!(woken, "a failure never woke the hold");
+        // A settled sweep answers a hold at once.
+        sweep.fail(StudyError::Config("test".to_string()));
         let t = Instant::now();
-        assert_eq!(sweep.hold("b", 1), Response::Wait { ms: 0 });
-        assert!(t.elapsed() < wait_ms, "{:?}", t.elapsed());
-        assert_eq!(inflight(&sweep, "b"), 0, "a hold never grants");
-
-        // A worker at its cap keeps holding while cells are pending.
-        let mut sweep = Sweep::new(&cfg, None, 60_000, &|_| {}).unwrap();
-        sweep.max_inflight = 1;
-        assert_eq!(leases(sweep.answer("a", Request::Lease { want: 4 })), 1);
-        let t = Instant::now();
-        assert_eq!(sweep.hold("a", 1), Response::Wait { ms: 0 });
-        assert!(t.elapsed() >= wait_ms, "{:?}", t.elapsed());
-        assert_eq!(inflight(&sweep, "a"), 1);
+        assert_eq!(sweep.hold(), Response::Done);
+        assert!(t.elapsed() < Duration::from_millis(WAIT_MS));
     }
 }

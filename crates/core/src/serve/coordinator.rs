@@ -225,15 +225,11 @@ impl ConnCtx<'_> {
                 }
             };
             let bye = matches!(request, Request::Bye);
-            let want = match request {
-                Request::Lease { want } => Some(want),
-                _ => None,
-            };
             let mut response = self.sweep.answer(&worker, request);
-            if let (Some(want), Response::Wait { .. }) = (want, &response) {
-                // Answer when the board can say more than "wait": the
-                // worker blocks on this reply instead of sleeping.
-                response = self.sweep.hold(&worker, want);
+            if matches!(response, Response::Wait { .. }) {
+                // A Lease with nothing grantable: answer it when the board
+                // changes, so the worker blocks on the reply, not a sleep.
+                response = self.sweep.hold();
             }
             if self.sweep.settled() && !self.done_flag.swap(true, Ordering::AcqRel) {
                 // The accept loop blocks in `accept`; a throwaway

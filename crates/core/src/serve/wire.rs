@@ -118,7 +118,7 @@ pub enum Response {
     },
     /// Nothing grantable right now (every remaining cell is leased out);
     /// retry after `ms` milliseconds. The coordinator holds such a `Lease`
-    /// until a cell could be granted again or 100 ms pass, and then sends
+    /// until its lease board changes or 100 ms pass, and then sends
     /// `ms: 0`: ask again now. A held `Lease` is answered `Done` as soon as
     /// the study completes.
     Wait {

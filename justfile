@@ -159,16 +159,17 @@ studybench-check:
 # from `git archive` and the working tree (tracked plus untracked,
 # non-ignored files) into fresh target/ab/base and target/ab/change, and
 # each side's studybench offline (every dependency is vendored). Then runs
-# every BENCHMARK.json workload PAIRS times per side at seed 1, switching
-# which side runs first on each pair, appends each run's last line (tagged
-# with pair, side and workload) to target/ab/runs.jsonl, and prints
-# `bench_gate --paired` over it: per workload and end-to-end metric, both
-# medians with quartiles, the median per-pair ratio, the pairs the change
-# won, and `unresolved` where the base runs spread wider than the bound.
-# Fresh directories on both sides also keep studybench's work directory,
-# which sits next to its executable, equally new on both. It only
-# reports: the absolute gates above stay as they are.
-studybench-ab BASE PAIRS="10" SECONDS="35":
+# every BENCHMARK.json workload PAIRS times per side at seed 1 for the
+# benchmark's `run_seconds`, switching which side runs first on each pair,
+# appends each run's last line (tagged with pair, side and workload) to
+# target/ab/runs.jsonl, and prints `bench_gate --paired` over it: per
+# workload and end-to-end metric, both medians with quartiles, the median
+# per-pair ratio, the pairs the change won, and `unresolved` where the
+# base runs spread wider than the bound. Fresh directories on both sides
+# also keep studybench's work directory, which sits next to its
+# executable, equally new on both. It only reports: the absolute gates
+# above stay as they are.
+studybench-ab BASE PAIRS="10":
     #!/usr/bin/env bash
     set -euo pipefail
     rm -rf target/ab
@@ -181,6 +182,7 @@ studybench-ab BASE PAIRS="10" SECONDS="35":
         cargo build --release --offline --quiet \
             --manifest-path target/ab/$side/studybench/Cargo.toml
     done
+    seconds=$(jq -r .run_seconds BENCHMARK.json)
     for pair in $(seq 1 {{PAIRS}}); do
         sides="base change"
         (( pair % 2 )) || sides="change base"
@@ -188,7 +190,7 @@ studybench-ab BASE PAIRS="10" SECONDS="35":
             for side in $sides; do
                 line=$(cd target/ab/$side && cargo run --release --offline --quiet \
                     --manifest-path studybench/Cargo.toml -- --workload $workload \
-                    --seed 1 --seconds {{SECONDS}} --trace 0 | tail -1)
+                    --seed 1 --seconds $seconds --trace 0 | tail -1)
                 echo "{\"pair\": $pair, \"side\": \"$side\", \"workload\": \"$workload\", \"run\": $line}" \
                     >> target/ab/runs.jsonl
             done

@@ -605,83 +605,96 @@ fn submit(stream: &mut TcpStream, grant: LeaseGrant, serial: &StudyResults) -> R
 const WAIT: Duration = Duration::from_millis(100);
 
 /// A worker that asks for work while the last cell runs elsewhere is
-/// never told to sleep, and learns `Done` with the submitter's `Accepted`
-/// (it used to be told `Wait { ms: 100 }` and learn it up to 100 ms late).
+/// never told to sleep, and learns `Done` with the submitter's `Accepted`.
+/// An attempt whose gap a stalled host widens is retried: only a hold the
+/// completing submission never wakes misses the margin every time.
 #[test]
 fn a_held_lease_learns_done_when_the_last_cell_completes() {
     let cfg = small_config(83, vec![OptLevel::O0]);
     let serial = Orchestrator::new(cfg.clone()).run().expect("serial run");
-    let dir = temp_dir("hold-done");
-    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
-    let (report, ()) = serve_with(coordinator, |addr| {
-        let mut a = greet(addr, "a");
-        let grant = lease_one(&mut a);
-        let mut b = greet(addr, "b");
-        let (asked, asking) = std::sync::mpsc::channel();
-        std::thread::scope(|scope| {
-            let b = scope.spawn(move || loop {
-                match call(&mut b, &Request::Lease { want: 1 }) {
-                    Response::Wait { ms } => {
-                        assert_eq!(ms, 0, "a held Lease is told to ask again now");
-                        let _ = asked.send(());
+    let prompt = (0..3).any(|attempt| {
+        let dir = temp_dir(&format!("hold-done-{attempt}"));
+        let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(&dir).expect("store"));
+        let (report, gap) = serve_with(coordinator, |addr| {
+            let mut a = greet(addr, "a");
+            let grant = lease_one(&mut a);
+            let mut b = greet(addr, "b");
+            std::thread::scope(|scope| {
+                let b = scope.spawn(move || loop {
+                    match call(&mut b, &Request::Lease { want: 1 }) {
+                        Response::Wait { ms } => {
+                            assert_eq!(ms, 0, "a held Lease is told to ask again now")
+                        }
+                        Response::Done => {
+                            let done = Instant::now();
+                            call(&mut b, &Request::Bye);
+                            return done;
+                        }
+                        other => panic!("expected Wait or Done, got {other:?}"),
                     }
-                    Response::Done => {
-                        let done = Instant::now();
-                        call(&mut b, &Request::Bye);
-                        return done;
-                    }
-                    other => panic!("expected Wait or Done, got {other:?}"),
-                }
-            });
-            asking
-                .recv()
-                .expect("b asks for work while a holds the cell");
-            let reply = submit(&mut a, grant, &serial);
-            let accepted = Instant::now();
-            assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
-            call(&mut a, &Request::Bye);
-            let done = b.join().expect("b");
-            let gap = done.max(accepted) - done.min(accepted);
-            assert!(
-                gap < Duration::from_millis(20),
-                "Done {gap:?} from Accepted"
-            );
+                });
+                // Likely time for the coordinator to start holding b's Lease.
+                std::thread::sleep(Duration::from_millis(30));
+                let reply = submit(&mut a, grant, &serial);
+                let accepted = Instant::now();
+                assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+                // a's Bye releases, which also wakes a hold: only after b's
+                // Done.
+                let done = b.join().expect("b");
+                call(&mut a, &Request::Bye);
+                done.max(accepted) - done.min(accepted)
+            })
         });
+        assert_eq!(report.results, serial);
+        std::fs::remove_dir_all(&dir).ok();
+        gap < WAIT / 2
     });
-    assert_eq!(report.results, serial);
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(prompt, "Done came {:?} or more from Accepted", WAIT / 2);
 }
 
 /// The holder of the only cell vanishes without `Bye` while another
 /// worker's Lease is held: that Lease is told to ask again now, never
-/// handed the cell, and the next Lease is.
+/// handed the cell, and the next Lease is. An attempt whose release
+/// reaches the board before b's Lease does (b is then granted the cell at
+/// once) is retried: only a hold that grants loses every time.
 #[test]
 fn a_held_lease_asks_again_when_the_holder_disconnects() {
     let cfg = small_config(84, vec![OptLevel::O0]);
     let serial = Orchestrator::new(cfg.clone()).run().expect("serial run");
-    let dir = temp_dir("hold-release");
-    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
-    let (report, ()) = serve_with(coordinator, |addr| {
-        let mut a = greet(addr, "a");
-        let grant = lease_one(&mut a);
-        let mut b = greet(addr, "b");
-        write_frame(&mut b, &Request::Lease { want: 1 }).unwrap();
-        // Time for the coordinator to start holding b's Lease.
-        std::thread::sleep(Duration::from_millis(30));
-        drop(a);
-        assert_eq!(
-            read_frame::<Response>(&mut b).unwrap(),
-            Response::Wait { ms: 0 }
-        );
-        let regrant = lease_one(&mut b);
-        assert_eq!(regrant.key, grant.key, "the released cell");
-        let reply = submit(&mut b, regrant, &serial);
-        assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
-        assert_eq!(call(&mut b, &Request::Lease { want: 1 }), Response::Done);
-        call(&mut b, &Request::Bye);
+    let held = (0..5).any(|attempt| {
+        let dir = temp_dir(&format!("hold-release-{attempt}"));
+        let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(&dir).expect("store"));
+        let (report, held) = serve_with(coordinator, |addr| {
+            let mut a = greet(addr, "a");
+            let grant = lease_one(&mut a);
+            let mut b = greet(addr, "b");
+            write_frame(&mut b, &Request::Lease { want: 1 }).unwrap();
+            // Likely time for the coordinator to start holding b's Lease.
+            std::thread::sleep(Duration::from_millis(30));
+            drop(a);
+            // A hold that timed out before the release asks again, and
+            // that Lease may be held until the release lands.
+            let mut held = false;
+            let regrant = loop {
+                match read_frame::<Response>(&mut b).unwrap() {
+                    Response::Wait { ms: 0 } => held = true,
+                    Response::Leases { mut grants } if grants.len() == 1 => break grants.remove(0),
+                    other => panic!("expected Wait {{ ms: 0 }} or one grant, got {other:?}"),
+                }
+                write_frame(&mut b, &Request::Lease { want: 1 }).unwrap();
+            };
+            assert_eq!(regrant.key, grant.key, "the released cell");
+            let reply = submit(&mut b, regrant, &serial);
+            assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+            assert_eq!(call(&mut b, &Request::Lease { want: 1 }), Response::Done);
+            call(&mut b, &Request::Bye);
+            held
+        });
+        assert_eq!(report.results, serial);
+        std::fs::remove_dir_all(&dir).ok();
+        held
     });
-    assert_eq!(report.results, serial);
-    std::fs::remove_dir_all(&dir).ok();
+    assert!(held, "b's Lease was never held");
 }
 
 /// With nothing changing on the board, a held Lease is answered
