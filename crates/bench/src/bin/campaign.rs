@@ -288,12 +288,6 @@ fn worker_main(argv: &[String]) -> ! {
                 "--capacity" => {
                     opts.capacity = value.parse().map_err(|_| "bad --capacity")?;
                 }
-                "--max-cells" => {
-                    opts.max_cells = Some(value.parse().map_err(|_| "bad --max-cells")?);
-                }
-                "--abandon-after" => {
-                    opts.abandon_after = Some(value.parse().map_err(|_| "bad --abandon-after")?);
-                }
                 other => return Err(format!("unknown worker option `{other}`")),
             }
         }
@@ -305,7 +299,7 @@ fn worker_main(argv: &[String]) -> ! {
             eprintln!("error: {e}");
             eprintln!(
                 "usage: campaign worker --connect HOST:PORT [--name S] [--capacity N]\n\
-                 \x20                    [--max-cells N] [--abandon-after N] [--quiet] [--log-json]"
+                 \x20                    [--quiet] [--log-json]"
             );
             std::process::exit(1);
         }
@@ -323,11 +317,8 @@ fn worker_main(argv: &[String]) -> ! {
     match softerr::run_worker(&addr, &opts) {
         Ok(report) => {
             println!(
-                "worker {}: {} cell(s) completed, {} rejected{}",
-                opts.name,
-                report.completed,
-                report.rejected,
-                if report.abandoned { " (abandoned)" } else { "" }
+                "worker {}: {} cell(s) completed, {} rejected",
+                opts.name, report.completed, report.rejected
             );
             std::process::exit(0);
         }

@@ -219,17 +219,12 @@ impl Options {
         let mut i = 0;
         while i < args.len() {
             let flag = args[i].clone();
-            let mut next = |what: &str| -> String {
+            let mut next = || -> String {
                 i += 1;
-                args.get(i)
-                    .unwrap_or_else(|| {
-                        eprintln!("missing value for {what}");
-                        std::process::exit(1);
-                    })
-                    .clone()
+                or_exit(args.get(i).ok_or("missing value"), &flag).clone()
             };
             match flag.as_str() {
-                "--scale" => match next("--scale").as_str() {
+                "--scale" => match next().as_str() {
                     "quick" => {
                         opts.scale = Scale::Tiny;
                         opts.injections = 16;
@@ -247,43 +242,27 @@ impl Options {
                         std::process::exit(1);
                     }
                 },
-                "--injections" => opts.injections = next("--injections").parse().expect("number"),
-                "--seed" => opts.seed = next("--seed").parse().expect("number"),
-                "--threads" => opts.threads = next("--threads").parse().expect("number"),
-                "--jobs" => opts.jobs = next("--jobs").parse().expect("number"),
-                "--prune" => {
-                    opts.prune = next("--prune").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    })
-                }
-                "--prune-static" => {
-                    opts.prune_static =
-                        next("--prune-static").parse().unwrap_or_else(|e: String| {
-                            eprintln!("{e}");
-                            std::process::exit(1);
-                        })
-                }
+                "--injections" => opts.injections = or_exit(next().parse(), &flag),
+                "--seed" => opts.seed = or_exit(next().parse(), &flag),
+                "--threads" => opts.threads = or_exit(next().parse(), &flag),
+                "--jobs" => opts.jobs = or_exit(next().parse(), &flag),
+                "--prune" => opts.prune = or_exit(next().parse(), &flag),
+                "--prune-static" => opts.prune_static = or_exit(next().parse(), &flag),
                 "--target-margin" => {
-                    let target: f64 = next("--target-margin").parse().expect("number");
+                    let target: f64 = or_exit(next().parse(), &flag);
                     if !(target > 0.0 && target < 1.0) {
                         eprintln!("--target-margin must be in (0, 1), got {target}");
                         std::process::exit(1);
                     }
                     opts.target_margin = Some(target);
                 }
-                "--sampler" => {
-                    opts.sampler = next("--sampler").parse().unwrap_or_else(|e: String| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    })
-                }
-                "--results" => opts.results_dir = PathBuf::from(next("--results")),
-                "--trace" => opts.trace = Some(PathBuf::from(next("--trace"))),
+                "--sampler" => opts.sampler = or_exit(next().parse(), &flag),
+                "--results" => opts.results_dir = PathBuf::from(next()),
+                "--trace" => opts.trace = Some(PathBuf::from(next())),
                 "--fresh" => opts.fresh = true,
                 "--quiet" => opts.quiet = true,
                 "--log-json" => opts.log_json = true,
-                "--estimate" => match next("--estimate").as_str() {
+                "--estimate" => match next().as_str() {
                     "ace" => opts.estimate_ace = true,
                     other => {
                         eprintln!("unknown estimator `{other}` (ace)");
@@ -316,12 +295,19 @@ impl Options {
                 demand: self.prune_static,
             },
         };
-        if let Err(e) = plan.validate() {
-            eprintln!("invalid sampling configuration: {e}");
-            std::process::exit(1);
-        }
+        or_exit(plan.validate(), "invalid sampling configuration");
         plan
     }
+}
+
+/// The value of `result`, or, when it failed, `error: {what}: {e}` on
+/// stderr and exit code 1: a bad flag value or an invalid study is the
+/// caller's mistake, not a bug to panic over.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: &str) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
 }
 
 /// Runs (or re-serves from the result store) the full study grid.
@@ -333,7 +319,7 @@ impl Options {
 /// `--fresh` skips store *reads* (every cell re-executes and overwrites).
 fn study(opts: &Options) -> StudyResults {
     let config = study_config(opts);
-    let store = ResultStore::open(&opts.results_dir).expect("result store opens");
+    let store = or_exit(ResultStore::open(&opts.results_dir), "result store");
     event!(
         Level::Info,
         "repro.study",
@@ -342,25 +328,28 @@ fn study(opts: &Options) -> StudyResults {
         config.total_injections(),
         store.root().display()
     );
-    Orchestrator::new(config)
+    let study = Orchestrator::new(config)
         .cell_workers(opts.jobs)
         .store(store)
         .refresh(opts.fresh)
-        .run()
-        .expect("study failed")
+        .run();
+    or_exit(study, "study")
 }
 
 /// The full paper grid the generic options describe (shared by the local
 /// `study()` runner and the distributed `serve` command, so a distributed
-/// run answers for exactly the study a local one would).
+/// run answers for exactly the study a local one would), checked before
+/// anything runs.
 fn study_config(opts: &Options) -> StudyConfig {
-    StudyConfig {
+    let config = StudyConfig {
         scale: opts.scale,
         plan: opts.plan(1),
         seed: opts.seed,
         threads: opts.threads,
         ..StudyConfig::default()
-    }
+    };
+    or_exit(config.validate(), "invalid study configuration");
+    config
 }
 
 // ---------------------------------------------------------------- serve --
@@ -380,22 +369,15 @@ fn serve_cmd(args: &[String]) {
     let mut i = 0;
     while i < args.len() {
         let flag = args[i].clone();
-        let mut next = |what: &str| -> String {
+        let mut next = || -> String {
             i += 1;
-            args.get(i)
-                .unwrap_or_else(|| {
-                    eprintln!("missing value for {what}");
-                    std::process::exit(1);
-                })
-                .clone()
+            or_exit(args.get(i).ok_or("missing value"), &flag).clone()
         };
         match flag.as_str() {
-            "--listen" => listen = next("--listen"),
-            "--spawn-workers" => {
-                spawn_workers = next("--spawn-workers").parse().expect("number");
-            }
-            "--lease-ms" => lease_ms = next("--lease-ms").parse().expect("number"),
-            "--progress-log" => progress_log = Some(PathBuf::from(next("--progress-log"))),
+            "--listen" => listen = next(),
+            "--spawn-workers" => spawn_workers = or_exit(next().parse(), &flag),
+            "--lease-ms" => lease_ms = or_exit(next().parse(), &flag),
+            "--progress-log" => progress_log = Some(PathBuf::from(next())),
             "--check-serial" => check_serial = true,
             _ => rest.push(flag),
         }
@@ -411,9 +393,11 @@ fn serve_cmd(args: &[String]) {
         telemetry::install_sink(Box::new(telemetry::JsonlSink::stderr()));
     }
     let config = study_config(&opts);
-    let store = ResultStore::open(&opts.results_dir).expect("result store opens");
-    let listener = std::net::TcpListener::bind(&listen)
-        .unwrap_or_else(|e| panic!("cannot listen on {listen}: {e}"));
+    let store = or_exit(ResultStore::open(&opts.results_dir), "result store");
+    let listener = or_exit(
+        std::net::TcpListener::bind(&listen),
+        &format!("--listen {listen}"),
+    );
     let addr = listener.local_addr().expect("listener address");
     println!(
         "coordinating {} cells ({} injections total) on {addr}",
@@ -449,9 +433,7 @@ fn serve_cmd(args: &[String]) {
     if let Some(path) = &progress_log {
         coordinator = coordinator.progress_log(path);
     }
-    let report = coordinator
-        .serve(&listener)
-        .expect("distributed study failed");
+    let report = or_exit(coordinator.serve(&listener), "distributed study");
     for mut child in children {
         let _ = child.wait();
     }
@@ -806,15 +788,17 @@ fn vuln(opts: &Options) {
                 let compiled = Compiler::new(machine.profile, level)
                     .compile(&w.source(opts.scale))
                     .expect("workload must compile");
-                let injector = Injector::new(&machine, &compiled.program).expect("golden");
+                let plan = opts
+                    .plan(40)
+                    .prune(PruneMode::On)
+                    .prune_static(PruneMode::On);
+                let injector =
+                    Injector::for_plan(&machine, &compiled.program, &plan).expect("golden");
                 let out = injector
                     .run(
                         Structure::RegFile,
                         &CampaignConfig {
-                            plan: opts
-                                .plan(40)
-                                .prune(PruneMode::On)
-                                .prune_static(PruneMode::On),
+                            plan,
                             seed: opts.seed,
                             threads: opts.threads,
                             ..CampaignConfig::default()
@@ -1130,12 +1114,13 @@ fn ablation_opt(opts: &Options) {
         let compiled = Compiler::with_passes(machine.profile, cfg)
             .compile(&source)
             .expect("compile");
-        let injector = Injector::new(&machine, &compiled.program).expect("golden");
+        let plan = opts.plan(50);
+        let injector = Injector::for_plan(&machine, &compiled.program, &plan).expect("golden");
         let campaign = injector
             .run(
                 Structure::RegFile,
                 &CampaignConfig {
-                    plan: opts.plan(50),
+                    plan,
                     seed: opts.seed,
                     threads: opts.threads,
                     ..CampaignConfig::default()
@@ -1161,7 +1146,8 @@ fn mbu(opts: &Options) {
     let compiled = Compiler::new(machine.profile, OptLevel::O2)
         .compile(&w.source(opts.scale))
         .expect("compile");
-    let injector = Injector::new(&machine, &compiled.program).expect("golden");
+    let plan = opts.plan(60);
+    let injector = Injector::for_plan(&machine, &compiled.program, &plan).expect("golden");
     let mut t = Table::new(vec![
         "structure".into(),
         "1-bit AVF".into(),
@@ -1180,7 +1166,7 @@ fn mbu(opts: &Options) {
                 .run(
                     s,
                     &CampaignConfig {
-                        plan: opts.plan(60),
+                        plan,
                         seed: opts.seed,
                         threads: opts.threads,
                         ..CampaignConfig::default()
@@ -1214,12 +1200,13 @@ fn ablation_size(opts: &Options) {
         let compiled = Compiler::new(machine.profile, OptLevel::O2)
             .compile(&w.source(opts.scale))
             .expect("compile");
-        let injector = Injector::new(&machine, &compiled.program).expect("golden");
+        let plan = opts.plan(50);
+        let injector = Injector::for_plan(&machine, &compiled.program, &plan).expect("golden");
         let campaign = injector
             .run(
                 Structure::RobPc,
                 &CampaignConfig {
-                    plan: opts.plan(50),
+                    plan,
                     seed: opts.seed,
                     threads: opts.threads,
                     ..CampaignConfig::default()
@@ -1275,7 +1262,10 @@ fn sampling(opts: &Options) {
                 let compiled = Compiler::new(machine.profile, level)
                     .compile(&w.source(opts.scale))
                     .expect("workload must compile");
-                let injector = Injector::new(&machine, &compiled.program).expect("golden");
+                // The importance plan reads liveness; the uniform one
+                // runs on the same golden run.
+                let injector =
+                    Injector::for_plan(&machine, &compiled.program, &imp_plan).expect("golden");
                 let base = CampaignConfig {
                     plan: uni_plan,
                     seed: opts.seed,

@@ -107,8 +107,7 @@ impl Compiler {
     /// Overrides IR verification: when on, the IR is re-verified after
     /// every optimization pass and the register allocation is checked
     /// after codegen (see [`verify`]). Defaults to
-    /// [`opt::verify_default`] — on in tests and under the `verify-ir`
-    /// feature, off otherwise.
+    /// [`opt::verify_default`] — on in tests, off otherwise.
     #[must_use]
     pub fn with_verify(mut self, verify: bool) -> Compiler {
         self.verify = verify;

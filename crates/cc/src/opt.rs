@@ -139,11 +139,11 @@ impl PassConfig {
     }
 }
 
-/// Whether pipelines verify the IR after every pass by default: always in
-/// test builds, and in any build with the `verify-ir` cargo feature on
-/// (which CI enables for the workload sweep).
+/// Whether pipelines verify the IR after every pass by default: in test
+/// builds only. Any other build turns it on with
+/// [`crate::Compiler::with_verify`].
 pub fn verify_default() -> bool {
-    cfg!(any(test, feature = "verify-ir"))
+    cfg!(test)
 }
 
 /// The verifying pass driver: every pass application goes through
@@ -300,15 +300,6 @@ pub fn run_pipeline_checked(
         verify,
     }
     .run(ir)
-}
-
-/// Runs the configured pass pipeline over a module in place, with
-/// verification at [`verify_default`]. Panics with the full diagnostic on a
-/// verifier failure (a miscompile is a bug, not a recoverable condition).
-pub fn run_pipeline(ir: &mut IrModule, cfg: PassConfig, profile: Profile) {
-    if let Err(e) = run_pipeline_checked(ir, cfg, profile, verify_default()) {
-        panic!("{e}");
-    }
 }
 
 #[cfg(test)]

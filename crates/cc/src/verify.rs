@@ -5,7 +5,8 @@
 //! IR. A miscompile here would silently corrupt every downstream AVF
 //! number, so the pass manager ([`crate::opt::run_pipeline_checked`]) runs
 //! [`verify_module`] after every pass whenever verification is enabled
-//! (default-on in tests and under the `verify-ir` cargo feature), and
+//! (default-on in tests, and on request through
+//! [`crate::Compiler::with_verify`]), and
 //! [`crate::codegen`] runs [`verify_allocation`] after register
 //! allocation.
 //!

@@ -53,8 +53,8 @@ pub use softerr_cc::{
 };
 pub use softerr_inject::{
     error_margin, fnv1a, ht_fraction, required_sample, weighted_error_margin,
-    weighted_required_sample, CampaignConfig, CampaignObserver, CampaignOutput, CampaignResult,
-    CampaignRun, ClassCounts, DivergenceSite, FaultClass, FaultRecord, FaultSpec, Golden, Injector,
+    weighted_required_sample, CampaignConfig, CampaignOutput, CampaignResult, CampaignRun,
+    ClassCounts, DivergenceSite, FaultClass, FaultRecord, FaultSpec, Golden, Injector,
     ProgressLine, PropagationSample, PropagationTrace, PruneMode, PrunePolicy, RunManifest,
     SamplerKind, SamplingPlan, StopRule, Z_90, Z_95, Z_99,
 };

@@ -3,10 +3,10 @@
 //! A study is a grid of independent **cells** — one (machine, workload,
 //! level) coordinate, each owning a compile, a fault-free golden run, and
 //! one campaign per structure. A `Sweep` plans that grid once (`Plan`:
-//! keys, content hashes and deduplicated compile units, in `machines ×
-//! workloads × levels` order), serves every cell the optional
-//! content-addressed [`ResultStore`] already holds, and leases the rest to
-//! cell workers through one `LeaseBoard`. Every worker runs the same loop
+//! keys and content hashes, in `machines × workloads × levels` order),
+//! serves every cell the optional content-addressed [`ResultStore`]
+//! already holds, and leases the rest to cell workers through one
+//! `LeaseBoard`. Every worker runs the same loop
 //! (lease → compile → [`run_cell`] → submit); only the link to the board
 //! differs:
 //!
@@ -22,21 +22,19 @@
 //!
 //! **Determinism:** every driver is bit-identical to a serial run. Each
 //! cell's campaigns derive their RNG streams from `(seed, structure)`
-//! alone and share nothing with other cells, results land in plan-order
-//! slots regardless of completion order, and compile sharing only
-//! deduplicates byte-identical work. `tests/sched_equivalence.rs` and
-//! `tests/serve_equivalence.rs` assert this rather than assuming it.
+//! alone and share nothing with other cells, and results land in
+//! plan-order slots regardless of completion order.
+//! `tests/sched_equivalence.rs` and `tests/serve_equivalence.rs` assert
+//! this rather than assuming it.
 
 use crate::serve::{work, LeaseGrant, Link, Request, Response, WorkerOptions};
 use crate::store::{cell_config_hash, ResultStore};
 use crate::study::{CellKey, CellResult, StudyConfig, StudyError, StudyResults};
-use softerr_cc::{Compiled, OptLevel};
+use softerr_cc::Compiled;
 use softerr_inject::{CampaignConfig, CampaignResult, Injector};
-use softerr_isa::Profile;
 use softerr_sim::MachineConfig;
 use softerr_telemetry::{event, span, Level, Sink};
-use softerr_workloads::Workload;
-use std::sync::{Condvar, Mutex, OnceLock};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 /// The longest a remote `Lease` with nothing grantable is held
@@ -85,45 +83,27 @@ pub(crate) fn run_cell(
     })
 }
 
-/// One planned cell: its grid coordinate, the content hash it is stored
-/// under, and the compile unit it consumes.
+/// One planned cell: its grid coordinate and the content hash it is
+/// stored under.
 pub(crate) struct PlannedCell {
     pub(crate) key: CellKey,
     pub(crate) hash: String,
     /// Index into the study's machines.
     pub(crate) machine: usize,
-    /// Index into the plan's compile units.
-    pub(crate) unit: usize,
 }
-
-/// One compile slot per compile unit, filled by the first worker that
-/// needs the program.
-pub(crate) type CompileTable = [OnceLock<Result<Compiled, String>>];
 
 /// The study grid in plan (= result) order, `machines × workloads ×
 /// levels`: the one place that order is written down.
 pub(crate) struct Plan {
     pub(crate) cells: Vec<PlannedCell>,
-    /// Distinct (ISA profile, workload, level) compile units: machines
-    /// sharing a profile never recompile the same program.
-    units: usize,
 }
 
 impl Plan {
     pub(crate) fn new(cfg: &StudyConfig) -> Plan {
-        let mut units: Vec<(Profile, Workload, OptLevel)> = Vec::new();
         let mut cells = Vec::new();
         for (m, machine) in cfg.machines.iter().enumerate() {
             for &workload in &cfg.workloads {
                 for &level in &cfg.levels {
-                    let unit_key = (machine.profile, workload, level);
-                    let unit = units
-                        .iter()
-                        .position(|u| *u == unit_key)
-                        .unwrap_or_else(|| {
-                            units.push(unit_key);
-                            units.len() - 1
-                        });
                     cells.push(PlannedCell {
                         key: CellKey {
                             machine: machine.name.clone(),
@@ -132,20 +112,11 @@ impl Plan {
                         },
                         hash: cell_config_hash(cfg, machine, workload, level),
                         machine: m,
-                        unit,
                     });
                 }
             }
         }
-        Plan {
-            cells,
-            units: units.len(),
-        }
-    }
-
-    /// An empty compile table for this plan's units.
-    pub(crate) fn compile_table(&self) -> Vec<OnceLock<Result<Compiled, String>>> {
-        (0..self.units).map(|_| OnceLock::new()).collect()
+        Plan { cells }
     }
 }
 
@@ -356,7 +327,6 @@ impl<'a> Sweep<'a> {
         let mut plan_sp = span("sched.plan");
         let plan = Plan::new(config);
         plan_sp.record("cells", plan.cells.len() as u64);
-        plan_sp.record("compile_units", plan.units as u64);
         drop(plan_sp);
         Ok(Sweep {
             config,
@@ -889,17 +859,14 @@ impl Orchestrator {
             "study.sched",
             {
                 cells: total,
-                compile_units: sweep.plan.units,
                 store_hits: served,
                 workers: workers,
                 injections: self.config.total_injections()
             },
-            "planned {total} cells over {} compile units ({served} from the store) on \
-             {workers} worker(s) ({} injections total)",
-            sweep.plan.units,
+            "planned {total} cells ({served} from the store) on {workers} worker(s) \
+             ({} injections total)",
             self.config.total_injections()
         );
-        let units = sweep.plan.compile_table();
         let worker = |i: usize| {
             let opts = WorkerOptions {
                 name: format!("cell-worker#{i}"),
@@ -909,7 +876,7 @@ impl Orchestrator {
                 sweep: &sweep,
                 name: &opts.name,
             };
-            if let Err(e) = work(&mut link, &self.config, &sweep.plan, &units, &opts) {
+            if let Err(e) = work(&mut link, &self.config, &sweep.plan, &opts) {
                 sweep.fail(e);
             }
         };
@@ -930,7 +897,9 @@ impl Orchestrator {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use softerr_cc::OptLevel;
     use softerr_sim::Structure;
+    use softerr_workloads::Workload;
 
     fn tiny_config() -> StudyConfig {
         StudyConfig {
@@ -964,22 +933,18 @@ mod tests {
     }
 
     #[test]
-    fn compile_units_are_shared_per_profile() {
-        // A twin of the A15 shares its profile, so the plan gains cells
-        // but no compile units, and the twin's cells reuse the same
-        // compiled program and must produce identical measurements.
+    fn a_twin_machine_measures_like_the_original() {
+        // A renamed copy of the A15 is another grid coordinate of the same
+        // machine: its cells must produce identical measurements.
         let mut cfg = tiny_config();
         let mut clone = cfg.machines[0].clone();
         clone.name = "Cortex-A15-twin".into();
         cfg.machines.push(clone);
-        let plan = Plan::new(&cfg);
-        assert_eq!((plan.cells.len(), plan.units), (6, 4));
-        assert_eq!(plan.cells[4].unit, plan.cells[0].unit);
         let results = Orchestrator::new(cfg).run().unwrap();
         for level in [OptLevel::O0, OptLevel::O2] {
             let a = results.cell("Cortex-A15-like", Workload::Qsort, level);
             let b = results.cell("Cortex-A15-twin", Workload::Qsort, level);
-            assert_eq!(a, b, "shared compile units must not change results");
+            assert_eq!(a, b, "a twin machine must not change results");
         }
     }
 

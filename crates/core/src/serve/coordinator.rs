@@ -27,6 +27,11 @@ use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
+/// Cells one worker may hold at once: backpressure, so that a fast
+/// `Lease`-looping worker cannot strip-mine the whole grid and then fail,
+/// stranding every cell until its leases expire.
+const MAX_INFLIGHT: usize = 4;
+
 /// Serves a [`StudyConfig`] to remote workers over TCP and assembles the
 /// same [`SweepReport`] a local [`crate::Orchestrator`] would produce.
 ///
@@ -48,21 +53,19 @@ pub struct Coordinator {
     config: StudyConfig,
     store: ResultStore,
     lease_ms: u64,
-    max_inflight: usize,
     refresh: bool,
     progress_log: Option<PathBuf>,
 }
 
 impl Coordinator {
     /// A coordinator for `config` whose source of truth is `store`.
-    /// Defaults: 60 s leases, at most 4 in-flight cells per worker, store
-    /// reads enabled, no progress log.
+    /// Defaults: 60 s leases, store reads enabled, no progress log. A
+    /// worker holds at most 4 cells at once.
     pub fn new(config: StudyConfig, store: ResultStore) -> Coordinator {
         Coordinator {
             config,
             store,
             lease_ms: 60_000,
-            max_inflight: 4,
             refresh: false,
             progress_log: None,
         }
@@ -73,14 +76,6 @@ impl Coordinator {
     /// per-connection read timeout used to detect dead peers.
     pub fn lease_ms(mut self, ms: u64) -> Coordinator {
         self.lease_ms = ms.max(1);
-        self
-    }
-
-    /// Caps the cells one worker may hold concurrently (backpressure: a
-    /// fast `Lease`-looping worker cannot strip-mine the whole grid and
-    /// then fail, stranding every cell until its leases expire).
-    pub fn max_inflight(mut self, cells: usize) -> Coordinator {
-        self.max_inflight = cells.max(1);
         self
     }
 
@@ -122,7 +117,7 @@ impl Coordinator {
         let total = sweep.plan.cells.len();
         let mut serve_sp = span("serve");
         serve_sp.record("cells", total as u64);
-        sweep.max_inflight = self.max_inflight;
+        sweep.max_inflight = MAX_INFLIGHT;
         if let Some(path) = &self.progress_log {
             let file = std::fs::OpenOptions::new()
                 .create(true)
@@ -141,7 +136,7 @@ impl Coordinator {
                 cells: total,
                 store_hits: store_hits,
                 lease_ms: self.lease_ms,
-                max_inflight: self.max_inflight
+                max_inflight: MAX_INFLIGHT
             },
             "serving {total} cells ({store_hits} already in store) at {}",
             listener

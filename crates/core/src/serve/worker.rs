@@ -1,25 +1,24 @@
 //! The cell-worker loop, and its remote face [`run_worker`].
 //!
-//! A worker is stateless and owns nothing: it loops lease → compile
-//! (once per compile unit) → [`run_cell`] → submit until the board says
-//! `Done`. The same loop serves both drivers; only its [`Link`] to the
-//! board differs. A remote worker connects, learns the full
-//! [`StudyConfig`] from the coordinator's `Welcome`, and speaks frames
-//! over TCP; the in-process workers of [`crate::Orchestrator`] call the
-//! board directly. All persistence happens on the board's side; a remote
+//! A worker is stateless and owns nothing: it loops lease → compile →
+//! [`run_cell`] → submit until the board says `Done`. The same loop
+//! serves both drivers; only its [`Link`] to the board differs. A remote
+//! worker connects, learns the full [`StudyConfig`] from the
+//! coordinator's `Welcome`, and speaks frames over TCP; the in-process
+//! workers of [`crate::Orchestrator`] call the board directly. All persistence happens on the board's side; a remote
 //! worker that dies mid-lease loses only wall-clock time, never data,
 //! because its cells are released on disconnect or re-leased after the
 //! deadline.
 
 use super::wire::{self, LeaseGrant, Request, Response, PROTOCOL_VERSION};
-use crate::sched::{run_cell, CompileTable, Plan};
+use crate::sched::{run_cell, Plan};
 use crate::study::{StudyConfig, StudyError};
 use softerr_cc::Compiler;
 use softerr_telemetry::{event, span, Level};
 use std::net::TcpStream;
 use std::time::Duration;
 
-/// Tuning and test knobs for [`run_worker`].
+/// How a worker introduces itself and how much it asks for.
 #[derive(Debug, Clone)]
 pub struct WorkerOptions {
     /// Display name reported in the coordinator's telemetry (the
@@ -28,13 +27,6 @@ pub struct WorkerOptions {
     /// Cells requested per `Lease` round trip; the coordinator may grant
     /// fewer (its per-worker in-flight cap is the real backpressure).
     pub capacity: usize,
-    /// Stop after completing this many cells (`None` = run to `Done`).
-    pub max_cells: Option<usize>,
-    /// Test hook simulating a worker crash: after this many cells have
-    /// been *leased*, drop the connection without completing or
-    /// returning them, leaving the coordinator to re-lease after the
-    /// deadline.
-    pub abandon_after: Option<usize>,
 }
 
 impl Default for WorkerOptions {
@@ -42,8 +34,6 @@ impl Default for WorkerOptions {
         WorkerOptions {
             name: "worker".to_string(),
             capacity: 1,
-            max_cells: None,
-            abandon_after: None,
         }
     }
 }
@@ -55,9 +45,6 @@ pub struct WorkerReport {
     pub completed: usize,
     /// Submissions the coordinator rejected.
     pub rejected: usize,
-    /// True when the worker dropped the connection via
-    /// [`WorkerOptions::abandon_after`].
-    pub abandoned: bool,
 }
 
 /// How a worker reaches the lease board: one request, one response.
@@ -73,8 +60,7 @@ impl Link for TcpStream {
 }
 
 /// Connects to a coordinator at `addr` (e.g. `127.0.0.1:7077`) and
-/// executes leased cells until the study completes (or an option says to
-/// stop earlier).
+/// executes leased cells until the study completes.
 ///
 /// # Errors
 ///
@@ -92,10 +78,7 @@ pub fn run_worker(addr: &str, opts: &WorkerOptions) -> Result<WorkerReport, Stud
     let config = hello(&mut stream, &opts.name)?;
     config.validate().map_err(StudyError::Config)?;
     let plan = Plan::new(&config);
-    let report = work(&mut stream, &config, &plan, &plan.compile_table(), opts)?;
-    if report.abandoned {
-        return Ok(report);
-    }
+    let report = work(&mut stream, &config, &plan, opts)?;
     wire::write_frame(&mut stream, &Request::Bye)?;
     // The acknowledgement is best-effort: a coordinator tearing down
     // right after the final cell may already be gone.
@@ -147,45 +130,24 @@ fn hello(stream: &mut TcpStream, name: &str) -> Result<StudyConfig, StudyError> 
 }
 
 /// The one cell-worker loop: leases cells over `link` and executes each
-/// until the board answers `Done` or an option says to stop. `plan` and
-/// `units` are this worker's view of `config`; in-process workers share
-/// one compile table.
+/// until the board answers `Done`. `plan` is this worker's view of
+/// `config`.
 pub(crate) fn work(
     link: &mut impl Link,
     config: &StudyConfig,
     plan: &Plan,
-    units: &CompileTable,
     opts: &WorkerOptions,
 ) -> Result<WorkerReport, StudyError> {
     let mut report = WorkerReport {
         completed: 0,
         rejected: 0,
-        abandoned: false,
     };
-    let mut leased_total = 0usize;
     loop {
-        if opts.max_cells.is_some_and(|max| report.completed >= max) {
-            break;
-        }
         let want = opts.capacity.max(1);
         match link.call(Request::Lease { want })? {
             Response::Leases { grants } => {
                 for grant in grants {
-                    leased_total += 1;
-                    if opts.abandon_after.is_some_and(|after| leased_total > after) {
-                        // Simulated crash: vanish with the lease.
-                        report.abandoned = true;
-                        event!(
-                            Level::Warn,
-                            "study.sched",
-                            { worker: opts.name.clone(), leased: leased_total },
-                            "worker {} abandoning after {} lease(s) (test hook)",
-                            opts.name,
-                            leased_total - 1
-                        );
-                        return Ok(report);
-                    }
-                    execute_grant(link, config, plan, units, grant, &mut report)?;
+                    execute_grant(link, config, plan, grant, &mut report)?;
                 }
             }
             // `ms: 0` is "ask again now": the coordinator held this
@@ -209,7 +171,6 @@ fn execute_grant(
     link: &mut impl Link,
     config: &StudyConfig,
     plan: &Plan,
-    units: &CompileTable,
     grant: LeaseGrant,
     report: &mut WorkerReport,
 ) -> Result<(), StudyError> {
@@ -238,20 +199,13 @@ fn execute_grant(
     cell_sp.record("level", key.level.to_string());
     cell_sp.record("hit", false);
     let compiled = {
-        // Also covers waiting on another worker's in-flight compile of
-        // the same unit.
         let _sp = span("cell.compile");
-        units[cell.unit].get_or_init(|| {
-            Compiler::new(machine.profile, key.level)
-                .compile(&key.workload.source(config.scale))
-                .map_err(|e| format!("{} at {}: {e}", key.workload, key.level))
-        })
+        Compiler::new(machine.profile, key.level)
+            .compile(&key.workload.source(config.scale))
+            .map_err(|e| StudyError::Compile(format!("{} at {}: {e}", key.workload, key.level)))?
     };
-    let compiled = compiled
-        .as_ref()
-        .map_err(|e| StudyError::Compile(e.clone()))?;
     let mut exec_sp = span("cell.execute");
-    let result = run_cell(config, machine, compiled).map_err(|e| {
+    let result = run_cell(config, machine, &compiled).map_err(|e| {
         StudyError::Golden(format!(
             "{} at {} on {}: {e}",
             key.workload, key.level, key.machine

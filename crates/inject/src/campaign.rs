@@ -1,6 +1,6 @@
 //! Fault specification, single-run execution, and campaign orchestration.
 
-use crate::progress::CampaignObserver;
+use crate::progress::ProgressLine;
 use crate::record::{DivergenceSite, FaultRecord, PropagationSample, PropagationTrace};
 use crate::sampler::{PrunePolicy, SamplerKind, SamplingPlan, StopRule};
 use rand::rngs::SmallRng;
@@ -627,7 +627,7 @@ impl<'a> Injector<'a> {
     ///
     /// The returned [`CampaignRun`] builder selects the optional extras the
     /// old `campaign_*` method family hard-coded into separate entry
-    /// points: a live [`CampaignObserver`], forensic [`FaultRecord`]
+    /// points: a live [`ProgressLine`], forensic [`FaultRecord`]
     /// capture, a multi-bit burst width, and an explicit pre-sampled fault
     /// list. Call [`CampaignRun::execute`] to run it.
     ///
@@ -816,7 +816,7 @@ pub struct CampaignRun<'r, 'a> {
     structures: Vec<Structure>,
     cfg: CampaignConfig,
     faults: Option<&'r [FaultSpec]>,
-    observer: Option<&'r dyn CampaignObserver>,
+    observer: Option<&'r ProgressLine>,
     record: bool,
     burst_width: u8,
     /// `(every, one_in)` propagation sampling, see [`CampaignRun::propagation`].
@@ -855,9 +855,8 @@ impl Planned<'_> {
 const VERIFY_UNIFORM_CAP: u64 = 200_000;
 
 impl<'r, 'a> CampaignRun<'r, 'a> {
-    /// Streams every per-fault classification to `observer` as it is made
-    /// (e.g. a [`crate::ProgressLine`]).
-    pub fn observer(mut self, observer: &'r dyn CampaignObserver) -> Self {
+    /// Streams every per-fault classification to `observer` as it is made.
+    pub fn observer(mut self, observer: &'r ProgressLine) -> Self {
         self.observer = Some(observer);
         self
     }
@@ -1326,7 +1325,7 @@ struct Engine<'e, 'a> {
     width: u8,
     /// Capture end cycles and first-divergence sites (forensics mode).
     record: bool,
-    observer: Option<&'e dyn CampaignObserver>,
+    observer: Option<&'e ProgressLine>,
     /// `(every, one_in)` propagation sampling for a deterministic subset
     /// of recorded convoy children.
     propagation: Option<(u64, u64)>,

@@ -60,7 +60,7 @@ pub use campaign::{
     FaultSpec, Golden, GoldenError, Injector, PruneMode,
 };
 pub use manifest::{fnv1a, RunManifest};
-pub use progress::{CampaignObserver, ProgressLine};
+pub use progress::ProgressLine;
 pub use record::{DivergenceSite, FaultRecord, PropagationSample, PropagationTrace};
 pub use sampler::{PrunePolicy, SamplerKind, SamplingPlan, StopRule};
 pub use stats::{

@@ -1,9 +1,8 @@
-//! Campaign liveness: an observer hook and a rate-limited stderr progress
-//! line.
+//! Campaign liveness: a rate-limited stderr progress line.
 //!
 //! Long campaigns previously ran silent until the final table. The engine
-//! now reports every classification through [`CampaignObserver`];
-//! [`ProgressLine`] is the standard observer, rendering a
+//! now reports every classification to a [`ProgressLine`] attached with
+//! [`crate::CampaignRun::observer`], which renders a
 //! carriage-return-overwritten status line (done/total, per-class tallies,
 //! throughput, ETA) on stderr — but only when stderr is a terminal, so
 //! redirected logs and CI output stay clean.
@@ -13,28 +12,15 @@ use std::io::{IsTerminal, Write};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
-/// Receives every per-fault classification a campaign engine makes, as it
-/// is made (from whichever worker thread made it — implementations must be
-/// thread-safe).
-pub trait CampaignObserver: Sync {
-    /// The campaign will classify `faults` faults: called once sampling is
-    /// done (after adaptive growth and population caps), before the first
-    /// classification.
-    fn faults_planned(&self, faults: u64);
-
-    /// One fault was classified.
-    fn fault_classified(&self, class: FaultClass);
-}
-
 /// Minimum microseconds between two progress-line renders.
 const RENDER_INTERVAL_US: u64 = 100_000;
 
-/// A live progress line for one campaign, driven through
-/// [`CampaignObserver`].
+/// A live progress line for one campaign, told of every classification as
+/// it is made, from whichever engine worker thread made it.
 ///
 /// Rendering is rate-limited (at most ten updates per second, claimed via
 /// a compare-exchange so concurrent workers never double-render) and
-/// TTY-gated: when stderr is not a terminal the observer still tallies but
+/// TTY-gated: when stderr is not a terminal the line still tallies but
 /// never writes. Call [`ProgressLine::finish`] to clear the line before
 /// printing final results.
 pub struct ProgressLine {
@@ -90,6 +76,36 @@ impl ProgressLine {
                 assert_: tally(FaultClass::Assert),
             },
         )
+    }
+
+    /// The campaign will classify `faults` faults: called once sampling is
+    /// done (after adaptive growth and population caps), before the first
+    /// classification.
+    pub(crate) fn faults_planned(&self, faults: u64) {
+        self.total.store(faults, Ordering::Relaxed);
+    }
+
+    /// One fault was classified.
+    pub(crate) fn fault_classified(&self, class: FaultClass) {
+        self.tallies[class as usize].fetch_add(1, Ordering::Relaxed);
+        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
+        if !self.active {
+            return;
+        }
+        let now_us = self.start.elapsed().as_micros() as u64;
+        let last = self.last_render_us.load(Ordering::Relaxed);
+        let due = now_us.saturating_sub(last) >= RENDER_INTERVAL_US || done == self.total();
+        if !due {
+            return;
+        }
+        // One worker claims this render; the rest skip it.
+        if self
+            .last_render_us
+            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
+            .is_ok()
+        {
+            self.render(done);
+        }
     }
 
     /// Clears the progress line (when active) so subsequent output starts
@@ -156,34 +172,6 @@ fn rate_and_eta(done: u64, total: u64, elapsed_s: f64) -> (String, String) {
         format!("{rate:.1}/s"),
         format!("{}:{:02}", eta_s / 60, eta_s % 60),
     )
-}
-
-impl CampaignObserver for ProgressLine {
-    fn faults_planned(&self, faults: u64) {
-        self.total.store(faults, Ordering::Relaxed);
-    }
-
-    fn fault_classified(&self, class: FaultClass) {
-        self.tallies[class as usize].fetch_add(1, Ordering::Relaxed);
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if !self.active {
-            return;
-        }
-        let now_us = self.start.elapsed().as_micros() as u64;
-        let last = self.last_render_us.load(Ordering::Relaxed);
-        let due = now_us.saturating_sub(last) >= RENDER_INTERVAL_US || done == self.total();
-        if !due {
-            return;
-        }
-        // One worker claims this render; the rest skip it.
-        if self
-            .last_render_us
-            .compare_exchange(last, now_us, Ordering::Relaxed, Ordering::Relaxed)
-            .is_ok()
-        {
-            self.render(done);
-        }
-    }
 }
 
 #[cfg(test)]

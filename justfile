@@ -1,4 +1,6 @@
-# Development entry points. `just ci` is what the CI workflow runs.
+# Development entry points. `just ci` runs what the CI workflow checks; the
+# workflow (.github/workflows/ci.yml) runs the same commands itself, not
+# through `just`.
 
 # Tier-1: build and the full test suite (unit + integration + property).
 test:
@@ -11,11 +13,6 @@ lint:
     cargo clippy --all-targets -- -D warnings
     cargo fmt --check
     RUSTDOCFLAGS="-D warnings" cargo doc --no-deps --workspace
-
-# IR lint: compile all 8 workloads at O0-O3 for both profiles with the
-# compiler's IR verifier re-run after every pass (the `verify-ir` feature).
-lint-ir:
-    cargo test -p softerr --features verify-ir --release -q --test verify_sweep
 
 # Benchmarks. Each group writes a BENCH_<group>.json summary into the repo
 # root (mean ns per iteration and derived throughput per benchmark).
@@ -129,9 +126,10 @@ bench-gate:
 # re-runs the same study serially and asserts results and every store
 # cell byte-for-byte (the grep makes the gate explicit in the recipe).
 # The coordinator's per-cell progress/forensics JSONL lands in
-# target/serve-progress.jsonl.
+# target/serve-progress.jsonl; the coordinator appends to it, so the recipe
+# removes it with the store and each run leaves one study's events.
 serve-check:
-    rm -rf target/softerr-serve-store
+    rm -rf target/softerr-serve-store target/serve-progress.jsonl
     cargo run --release -p softerr-bench --bin repro -- serve \
         --scale quick --spawn-workers 2 --check-serial \
         --results target/softerr-serve-store \
@@ -200,4 +198,4 @@ studybench-ab BASE PAIRS="10":
         --paired target/ab/runs.jsonl
 
 # Everything the CI gate requires.
-ci: test lint lint-ir verify-check serve-check studybench-check bench-gate
+ci: test lint verify-check serve-check studybench-check bench-gate

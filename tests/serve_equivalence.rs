@@ -127,12 +127,10 @@ fn coordinator_with_two_workers_matches_serial_bit_for_bit() {
         WorkerOptions {
             name: "w0".into(),
             capacity: 2,
-            ..WorkerOptions::default()
         },
         WorkerOptions {
             name: "w1".into(),
             capacity: 2,
-            ..WorkerOptions::default()
         },
     ];
     let (dist, reports) = distributed_run(&cfg, &dist_dir, 60_000, workers);
@@ -287,35 +285,31 @@ fn killed_worker_cells_are_released_and_completed() {
     let serial = serial_run(&cfg, &serial_dir);
 
     // `doomed` completes one cell, then vanishes while holding a fresh
-    // lease (simulating a kill -9 mid-cell: the connection drops and the
-    // unfinished lease is released). `survivor` finishes the study.
+    // lease (simulating a kill -9 mid-cell: the connection drops without
+    // `Bye` and the unfinished lease is released). `survivor` finishes the
+    // study.
     let coordinator = Coordinator::new(cfg.clone(), ResultStore::open(&dist_dir).expect("store"))
         .lease_ms(60_000);
-    let (dist, (doomed, survivor)) = serve_with(coordinator, |addr| {
-        let doomed = softerr::run_worker(
-            addr,
-            &WorkerOptions {
-                name: "doomed".into(),
-                abandon_after: Some(1),
-                ..WorkerOptions::default()
-            },
-        )
-        .expect("doomed worker runs until its simulated crash");
-        assert!(doomed.abandoned, "the test hook must have fired");
-        let survivor = softerr::run_worker(
+    let (dist, survivor) = serve_with(coordinator, |addr| {
+        let mut doomed = greet(addr, "doomed");
+        let grant = lease_one(&mut doomed);
+        let reply = submit(&mut doomed, grant, &serial.results);
+        assert!(matches!(reply, Response::Accepted { .. }), "{reply:?}");
+        lease_one(&mut doomed);
+        drop(doomed);
+        softerr::run_worker(
             addr,
             &WorkerOptions {
                 name: "survivor".into(),
                 capacity: 2,
-                ..WorkerOptions::default()
             },
         )
-        .expect("survivor worker");
-        (doomed, survivor)
+        .expect("survivor worker")
     });
 
+    // The doomed worker's one accepted cell, and the survivor's.
     assert_eq!(
-        doomed.completed + survivor.completed,
+        1 + survivor.completed,
         dist.cells,
         "every cell was executed exactly once despite the crash"
     );
@@ -417,7 +411,6 @@ fn forged_submissions_are_rejected_and_honest_workers_prevail() {
             &WorkerOptions {
                 name: "honest".into(),
                 capacity: 2,
-                ..WorkerOptions::default()
             },
         )
         .expect("honest worker")
@@ -481,8 +474,9 @@ fn a_served_machine_the_simulator_cannot_run_is_a_config_error() {
 
 /// Lease round trips against a real coordinator on loopback are not held
 /// back by Nagle's algorithm waiting out the client's delayed ACK: the
-/// median of 10 stays under 20 ms. A reply written as a length prefix and
-/// a payload in two writes, without `TCP_NODELAY`, took ~40 ms each.
+/// median of the 4 that the per-worker cap grants stays under 20 ms. A
+/// reply written as a length prefix and a payload in two writes, without
+/// `TCP_NODELAY`, took ~40 ms each.
 #[test]
 fn lease_round_trips_do_not_wait_for_delayed_acks() {
     // One machine, RF only, two faults per cell: 5 workloads × 2 levels =
@@ -501,8 +495,7 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         ..tiny_config(81)
     };
     let dir = temp_dir("rtt");
-    let coordinator =
-        Coordinator::new(cfg, ResultStore::open(&dir).expect("store")).max_inflight(10);
+    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
     let (_, rtts) = serve_with(coordinator, |addr| {
         let mut stream = TcpStream::connect(addr).expect("connect");
         stream.set_nodelay(true).expect("nodelay");
@@ -512,8 +505,9 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         };
         write_frame(&mut stream, &hello).unwrap();
         let _welcome: Response = read_frame(&mut stream).unwrap();
-        // Each Lease takes one of the ten cells, so none is answered `Wait`.
-        let rtts: Vec<(Duration, Response)> = (0..10)
+        // Each Lease takes one of the ten cells and the worker's cap is 4,
+        // so none of the first 4 is answered `Wait`.
+        let rtts: Vec<(Duration, Response)> = (0..4)
             .map(|_| {
                 let t = Instant::now();
                 write_frame(&mut stream, &Request::Lease { want: 1 }).unwrap();
@@ -538,9 +532,9 @@ fn lease_round_trips_do_not_wait_for_delayed_acks() {
         .collect();
     rtts.sort();
     assert!(
-        rtts[5] < Duration::from_millis(20),
+        rtts[2] < Duration::from_millis(20),
         "median Lease round trip {:?} (all: {rtts:?})",
-        rtts[5]
+        rtts[2]
     );
 }
 
@@ -722,17 +716,29 @@ fn a_held_lease_asks_again_after_the_hold_when_nothing_changes() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A worker at its `max_inflight` cap keeps holding while other cells are
-/// pending, so it cannot spin on `Wait { ms: 0 }`.
+/// A worker at its cap of 4 in-flight cells keeps holding while other
+/// cells are pending, so it cannot spin on `Wait { ms: 0 }`.
 #[test]
 fn a_worker_at_its_cap_keeps_holding_while_cells_are_pending() {
-    let cfg = small_config(86, vec![OptLevel::O0, OptLevel::O2]);
+    // 5 cells: one more than the cap.
+    let cfg = StudyConfig {
+        workloads: vec![
+            Workload::Qsort,
+            Workload::Sha,
+            Workload::Dijkstra,
+            Workload::Fft,
+            Workload::Blowfish,
+        ],
+        ..small_config(86, vec![OptLevel::O0])
+    };
     let dir = temp_dir("hold-cap");
-    let coordinator =
-        Coordinator::new(cfg, ResultStore::open(&dir).expect("store")).max_inflight(1);
+    let coordinator = Coordinator::new(cfg, ResultStore::open(&dir).expect("store"));
     let (report, ()) = serve_with(coordinator, |addr| {
         let mut a = greet(addr, "a");
-        lease_one(&mut a);
+        match call(&mut a, &Request::Lease { want: 5 }) {
+            Response::Leases { grants } => assert_eq!(grants.len(), 4, "the cap grants 4"),
+            other => panic!("expected grants, got {other:?}"),
+        }
         let t = Instant::now();
         let reply = call(&mut a, &Request::Lease { want: 1 });
         let held = t.elapsed();
@@ -741,7 +747,7 @@ fn a_worker_at_its_cap_keeps_holding_while_cells_are_pending() {
         call(&mut a, &Request::Bye);
         softerr::run_worker(addr, &WorkerOptions::default()).expect("worker");
     });
-    assert_eq!(report.executed, 2);
+    assert_eq!(report.executed, 5);
     std::fs::remove_dir_all(&dir).ok();
 }
 

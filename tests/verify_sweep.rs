@@ -1,13 +1,12 @@
-//! The `verify-ir` sweep: every workload × every optimization level ×
+//! The IR verifier sweep: every workload × every optimization level ×
 //! both target profiles compiles with the IR verifier re-checking the
 //! module after **every** pass application, plus the post-regalloc
-//! allocation check.
+//! allocation check (`Compiler::with_verify`, whatever the build).
 //!
-//! This is the correctness net over the 13 optimization passes that CI
-//! runs with the `verify-ir` feature enabled (`just lint-ir`): a pass that
-//! breaks an invariant (use before def, dangling branch target, clobbered
-//! live range, ...) fails here with a diagnostic naming the pass, the
-//! function, and the block.
+//! This is the correctness net over the 13 optimization passes: a pass
+//! that breaks an invariant (use before def, dangling branch target,
+//! clobbered live range, ...) fails here with a diagnostic naming the
+//! pass, the function, and the block.
 //!
 //! The same sweep hosts the dead-computation lint check: `cc.lint`
 //! warnings (defs and stores the static bit-demand analysis proves fully
