@@ -50,7 +50,8 @@ use softerr::{
     OptLevel, ProgressLine, PruneMode, PrunePolicy, RunManifest, SamplerKind, SamplingPlan, Scale,
     Sim, StopRule, Structure, Table, Workload,
 };
-use std::io::Write;
+use std::fs::File;
+use std::io::{BufWriter, Write};
 
 struct Args {
     machine: MachineConfig,
@@ -197,6 +198,16 @@ fn parse_args() -> Result<Args, String> {
     Ok(args)
 }
 
+/// The value of `result`, or, when it failed, `error: {what}: {e}` on
+/// stderr and exit code 1: an output path the caller named may be
+/// unwritable, which is not a bug to panic over.
+fn or_exit<T, E: std::fmt::Display>(result: Result<T, E>, what: std::fmt::Arguments) -> T {
+    result.unwrap_or_else(|e| {
+        eprintln!("error: {what}: {e}");
+        std::process::exit(1)
+    })
+}
+
 /// Golden-run counter report: one row per headline counter, then the
 /// per-structure occupancy histogram summary.
 fn metrics_tables(machine: &MachineConfig, program: &softerr::Program) -> (Table, Table) {
@@ -229,7 +240,6 @@ fn metrics_tables(machine: &MachineConfig, program: &softerr::Program) -> (Table
         "mispredicts / kilo-branch".into(),
         format!("{:.1}", c.mispredicts_per_kilo_branch()),
     ]);
-    headline.row(vec!["squashes".into(), c.squashes.to_string()]);
     headline.row(vec!["squashed uops".into(), c.squashed_uops.to_string()]);
     let mut occupancy = Table::new(vec![
         "structure".into(),
@@ -391,6 +401,20 @@ fn main() {
     manifest.level = args.level.to_string();
     manifest.scale = args.scale.to_string();
 
+    // Output files are created before any work, so an unwritable path
+    // fails at once rather than after the campaign.
+    let mut records_out = args.records.as_deref().map(|path| {
+        let file = or_exit(File::create(path), format_args!("--records {path}"));
+        let mut file = BufWriter::new(file);
+        let header = serde_json::to_string(&manifest).expect("manifest serializes");
+        or_exit(writeln!(file, "{header}"), format_args!("--records {path}"));
+        (path, file)
+    });
+    let trace_out = args.trace.as_deref().map(|path| {
+        let file = or_exit(File::create(path), format_args!("--trace {path}"));
+        (path, file)
+    });
+
     let compiled = Compiler::new(args.machine.profile, args.level)
         .compile(&args.workload.source(args.scale))
         .expect("workload must compile");
@@ -401,15 +425,6 @@ fn main() {
         "{} / {} / {} ({} scale): {} cycles, {} instructions fault-free\n",
         args.machine.name, args.workload, args.level, args.scale, golden.cycles, golden.retired
     );
-
-    let mut records_out = args.records.as_deref().map(|path| {
-        let mut file = std::io::BufWriter::new(
-            std::fs::File::create(path).unwrap_or_else(|e| panic!("cannot create {path}: {e}")),
-        );
-        let header = serde_json::to_string(&manifest).expect("manifest serializes");
-        writeln!(file, "{header}").expect("record stream writable");
-        file
-    });
 
     // One extra golden run with residency tracking; no injections needed.
     let ace = args.estimate_ace.then(|| {
@@ -456,10 +471,10 @@ fn main() {
             run.execute()
         };
         if let Some(records) = output.records {
-            if let Some(file) = records_out.as_mut() {
+            if let Some((path, file)) = records_out.as_mut() {
                 for record in &records {
                     let line = serde_json::to_string(record).expect("record serializes");
-                    writeln!(file, "{line}").expect("record stream writable");
+                    or_exit(writeln!(file, "{line}"), format_args!("--records {path}"));
                 }
             }
             all_records.extend(records);
@@ -490,8 +505,8 @@ fn main() {
         ]);
         table.row(row);
     }
-    if let Some(file) = records_out.as_mut() {
-        file.flush().expect("record stream flushes");
+    if let Some((path, file)) = records_out.as_mut() {
+        or_exit(file.flush(), format_args!("--records {path}"));
     }
     println!("{table}");
     match args.target_margin {
@@ -575,9 +590,11 @@ fn main() {
     }
     if args.trace.is_some() || args.profile {
         let trace = telemetry::take_trace();
-        if let Some(path) = args.trace.as_deref() {
-            std::fs::write(path, trace.to_chrome_json())
-                .unwrap_or_else(|e| panic!("cannot write {path}: {e}"));
+        if let Some((path, mut file)) = trace_out {
+            or_exit(
+                file.write_all(trace.to_chrome_json().as_bytes()),
+                format_args!("--trace {path}"),
+            );
             println!(
                 "\n({} span(s) exported to {path}; open in Perfetto or chrome://tracing)",
                 trace.len()

@@ -17,6 +17,7 @@ use softerr::{
     Workload,
 };
 use softerr::{event, Level};
+use std::io::Write;
 use std::path::PathBuf;
 
 fn main() {
@@ -919,6 +920,11 @@ fn metrics(opts: &Options) {
 /// campaign and would profile as a pure lookup), but completed cells are
 /// still written back.
 fn profile_cmd(opts: &Options) {
+    // Created before the study runs, so an unwritable path fails at once.
+    let trace_out = opts.trace.as_ref().map(|path| {
+        let what = format!("--trace {}", path.display());
+        (path, or_exit(std::fs::File::create(path), &what), what)
+    });
     println!("== Stage-attribution profile (8 workloads x O0-O3 x both machines) ==");
     println!("(store reads skipped so every cell executes; span tracing armed)\n");
     telemetry::set_tracing(true);
@@ -926,9 +932,8 @@ fn profile_cmd(opts: &Options) {
     fresh_opts.fresh = true;
     let _ = study(&fresh_opts);
     let trace = telemetry::take_trace();
-    if let Some(path) = &opts.trace {
-        std::fs::write(path, trace.to_chrome_json())
-            .unwrap_or_else(|e| panic!("cannot write {}: {e}", path.display()));
+    if let Some((path, mut file, what)) = trace_out {
+        or_exit(file.write_all(trace.to_chrome_json().as_bytes()), &what);
         println!(
             "({} span(s) exported to {}; open in Perfetto or chrome://tracing)",
             trace.len(),

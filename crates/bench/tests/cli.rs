@@ -1,7 +1,7 @@
 //! The command-line tools refuse bad input instead of panicking: a flag
-//! value that does not parse, a removed flag or an invalid study prints
-//! an `error: …` line naming the flag or the problem, and the process
-//! exits 1.
+//! value that does not parse, a removed flag, an invalid study or an
+//! output path that cannot be created prints an `error: …` line naming
+//! the flag or the problem, and the process exits 1.
 
 use std::process::Command;
 
@@ -22,6 +22,13 @@ fn refuses(bin: &str, args: &[&str], names: &str) {
             .any(|line| line.starts_with("error:") && line.contains(names)),
         "{cmd}: no error line naming `{names}`:\n{stderr}"
     );
+}
+
+/// A path under a regular file, which no one can create.
+fn uncreatable(name: &str) -> String {
+    let file = format!("{}/cli-not-a-directory", env!("CARGO_TARGET_TMPDIR"));
+    std::fs::write(&file, "").expect("the test directory is writable");
+    format!("{file}/{name}")
 }
 
 #[test]
@@ -48,6 +55,10 @@ fn repro_reports_bad_flags_and_invalid_studies_as_errors() {
     }
     // A flag that ends the command line has no value.
     refuses(repro, &["fig5", "--seed"], "--seed");
+    // An output file is created before the study runs.
+    let trace = uncreatable("t.json");
+    let profile = ["profile", "--scale", "quick", "--trace", &trace];
+    refuses(repro, &[&profile[..], &results[..]].concat(), "--trace");
 }
 
 #[test]
@@ -63,5 +74,15 @@ fn campaign_reports_bad_flags_as_errors() {
         (&["worker", "--name", "w"], "--connect"),
     ] {
         refuses(campaign, args, names);
+    }
+    // Output files are created before the campaign runs, and a failure is
+    // an error, not a panic.
+    let (records, trace) = (uncreatable("x.jsonl"), uncreatable("t.json"));
+    for (flag, path) in [("--records", &records), ("--trace", &trace)] {
+        refuses(
+            campaign,
+            &["--structure", "rf", "-n", "5", flag, path],
+            flag,
+        );
     }
 }

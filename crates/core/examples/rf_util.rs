@@ -18,10 +18,11 @@ fn main() {
                     .compile(&w.source(Scale::Tiny))
                     .unwrap();
                 let mut sim = Sim::new(&cfg, &c.program);
+                sim.enable_counters();
                 let SimOutcome::Halted { cycles, .. } = sim.run(1_000_000_000) else {
                     panic!()
                 };
-                let st = sim.stats();
+                let st = sim.counters().expect("counters enabled");
                 let inj = Injector::new(&cfg, &c.program).unwrap();
                 let camp = inj
                     .run(

@@ -61,8 +61,7 @@ pub use softerr_inject::{
 pub use softerr_isa::{disassemble, Emulator, Profile, Program};
 pub use softerr_sim::{
     BitSet, LiveWindow, LivenessMap, MachineConfig, OccupancyHistogram, ResidencyReport, Sim,
-    SimCounters, SimOutcome, SimStats, StateDelta, Structure, StructureLiveness,
-    StructureResidency,
+    SimCounters, SimOutcome, StateDelta, Structure, StructureLiveness, StructureResidency,
 };
 /// The structured event/telemetry facade (see [`mod@telemetry`]).
 pub use softerr_telemetry as telemetry;

@@ -801,11 +801,6 @@ impl Orchestrator {
         self
     }
 
-    /// The configuration this orchestrator runs.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
     /// The attached result store, if any (for hit/miss accounting).
     pub fn result_store(&self) -> Option<&ResultStore> {
         self.store.as_ref()

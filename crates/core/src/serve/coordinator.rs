@@ -96,11 +96,6 @@ impl Coordinator {
         self
     }
 
-    /// The study this coordinator serves.
-    pub fn config(&self) -> &StudyConfig {
-        &self.config
-    }
-
     /// Serves the study on `listener` until every cell is complete.
     /// Blocks; returns the same report (modulo wall-clock `seconds`) a
     /// serial [`crate::Orchestrator`] run of the config would.

@@ -4,14 +4,14 @@
 //! behaviour that produced them (occupancy drives exposure, stalls drive
 //! residency), so the simulator can optionally record a set of gem5-style
 //! counters: committed instructions, stall cycles per pipeline end,
-//! squash activity, branch statistics, and per-structure occupancy
-//! histograms.
+//! mispredict recovery, branch statistics, register-file port traffic,
+//! cache hits and misses, and per-structure occupancy histograms.
 //!
 //! Counting follows the residency-tracker pattern: off by default, enabled
-//! with [`crate::Sim::enable_counters`], purely observational (never feeds
-//! back into execution, excluded from [`crate::Sim::state_eq`]), and
-//! costing one branch per cycle when disabled so that injection campaigns
-//! keep their throughput.
+//! with [`crate::Sim::enable_counters`] before the first cycle, purely
+//! observational (never feeds back into execution, excluded from
+//! [`crate::Sim::state_eq`]), and costing one branch per cycle when
+//! disabled so that injection campaigns keep their throughput.
 
 /// Internal accumulation state, boxed inside the simulator when counting
 /// is enabled.
@@ -23,12 +23,16 @@ pub(crate) struct CounterState {
     pub issue_stall_cycles: u64,
     /// Cycles where the ROB held work but nothing committed.
     pub commit_stall_cycles: u64,
-    /// Pipeline flushes (branch-mispredict recoveries).
-    pub squashes: u64,
+    /// Control-flow mispredictions, each recovered by one squash.
+    pub mispredicts: u64,
     /// Renamed, un-committed micro-ops discarded by those recoveries.
     pub squashed_uops: u64,
     /// Committed control-flow micro-ops (conditional branches and jumps).
     pub branches: u64,
+    /// Register-file read-port operations (source reads at issue).
+    pub rf_reads: u64,
+    /// Register-file write-port operations (results at writeback).
+    pub rf_writes: u64,
     /// `counts[k]` = completed cycles that ended with exactly `k` entries
     /// occupied, per structure (regfile, ROB, IQ, LQ, SQ).
     pub occupancy: [Vec<u64>; 5],
@@ -42,9 +46,11 @@ impl CounterState {
             fetch_stall_cycles: 0,
             issue_stall_cycles: 0,
             commit_stall_cycles: 0,
-            squashes: 0,
+            mispredicts: 0,
             squashed_uops: 0,
             branches: 0,
+            rf_reads: 0,
+            rf_writes: 0,
             occupancy: capacities.map(|cap| vec![0; cap + 1]),
         }
     }
@@ -137,14 +143,23 @@ pub struct SimCounters {
     /// Cycles where the ROB held micro-ops but none committed (head not
     /// yet done).
     pub commit_stall_cycles: u64,
-    /// Pipeline flushes (branch-mispredict recoveries).
-    pub squashes: u64,
-    /// Renamed, un-committed micro-ops discarded by those recoveries.
+    /// Renamed, un-committed micro-ops discarded by mispredict recovery.
     pub squashed_uops: u64,
     /// Committed control-flow micro-ops (conditional branches and jumps).
     pub branches: u64,
-    /// Control-flow mispredictions detected at execute.
+    /// Control-flow mispredictions detected at execute, each recovered by
+    /// one pipeline squash.
     pub mispredicts: u64,
+    /// Register-file read-port operations (source reads at issue).
+    pub rf_reads: u64,
+    /// Register-file write-port operations (results at writeback).
+    pub rf_writes: u64,
+    /// L1I (hits, misses).
+    pub l1i: (u64, u64),
+    /// L1D (hits, misses).
+    pub l1d: (u64, u64),
+    /// L2 (hits, misses).
+    pub l2: (u64, u64),
     /// Per-structure occupancy histograms (regfile, ROB, IQ, LQ, SQ).
     pub occupancy: Vec<OccupancyHistogram>,
 }
@@ -215,10 +230,14 @@ mod tests {
             fetch_stall_cycles: 0,
             issue_stall_cycles: 0,
             commit_stall_cycles: 0,
-            squashes: 0,
             squashed_uops: 0,
             branches: 40,
             mispredicts: 4,
+            rf_reads: 0,
+            rf_writes: 0,
+            l1i: (0, 0),
+            l1d: (0, 0),
+            l2: (0, 0),
             occupancy: Vec::new(),
         };
         assert!((c.ipc() - 0.5).abs() < 1e-12);

@@ -55,7 +55,7 @@ pub use counters::{OccupancyHistogram, SimCounters};
 pub use delta::{BitSet, StateDelta};
 pub use inject::Structure;
 pub use memsys::{MemErr, MemorySystem};
-pub use pipeline::{Sim, SimOutcome, SimStats};
+pub use pipeline::{Sim, SimOutcome};
 pub use residency::{
     LiveWindow, LivenessMap, ResidencyReport, StructureLiveness, StructureResidency,
 };

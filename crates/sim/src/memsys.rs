@@ -54,7 +54,7 @@ pub struct MemorySystem {
     /// residency tracking is on (line fills/evictions need timestamps).
     clock: u64,
     /// Per-line ACE residency for the three cache arrays (golden runs
-    /// only; excluded from [`MemorySystem::state_eq`]).
+    /// only; excluded from [`crate::Sim::state_eq`]).
     residency: Option<Box<[CacheResidency; 3]>>,
 }
 
@@ -127,60 +127,13 @@ impl MemorySystem {
         self.residency.as_deref_mut().map(|r| &mut r[idx])
     }
 
-    /// Whether two hierarchies hold identical execution-relevant state
-    /// (cache arrays and guest memory; hit/miss statistics excluded).
-    /// Guest memory pages and the cache arrays are chunked copy-on-write
-    /// storage: chunks a fork never unshared are equal by construction and
-    /// are not walked, so for a recently forked child this is a near-free
-    /// pointer sweep rather than a megabyte-scale comparison.
-    pub fn state_eq(&self, other: &MemorySystem) -> bool {
-        self.divergence(other).is_none()
-    }
-
-    /// Like [`MemorySystem::state_eq`], but names the first differing
-    /// level of the hierarchy (`None` means the hierarchies are equal).
-    pub fn divergence(&self, other: &MemorySystem) -> Option<&'static str> {
-        if !self.l1i.state_eq(&other.l1i) {
-            return Some("mem.l1i");
-        }
-        if !self.l1d.state_eq(&other.l1d) {
-            return Some("mem.l1d");
-        }
-        if !self.l2.state_eq(&other.l2) {
-            return Some("mem.l2");
-        }
-        (self.mem != other.mem).then_some("mem")
-    }
-
-    /// Appends *every* differing level of the hierarchy to `out` (the
-    /// exhaustive counterpart of [`MemorySystem::divergence`], which stops
-    /// at the first). Used by propagation tracing, which wants the whole
-    /// diverging set per sample, not just the cheapest witness.
-    pub fn divergent_components(&self, other: &MemorySystem, out: &mut Vec<&'static str>) {
-        if !self.l1i.state_eq(&other.l1i) {
-            out.push("mem.l1i");
-        }
-        if !self.l1d.state_eq(&other.l1d) {
-            out.push("mem.l1d");
-        }
-        if !self.l2.state_eq(&other.l2) {
-            out.push("mem.l2");
-        }
-        if self.mem != other.mem {
-            out.push("mem");
-        }
-    }
-
-    /// The differing sets of L1I, L1D and L2 ([`Cache::delta`]), when guest
-    /// memory is equal (`None` otherwise).
-    pub(crate) fn cache_delta(&self, other: &MemorySystem) -> Option<[BitSet; 3]> {
-        (self.mem == other.mem).then(|| {
-            [
-                self.l1i.delta(&other.l1i),
-                self.l1d.delta(&other.l1d),
-                self.l2.delta(&other.l2),
-            ]
-        })
+    /// The differing sets of L1I, L1D and L2 ([`Cache::delta`]).
+    pub(crate) fn cache_delta(&self, other: &MemorySystem) -> [BitSet; 3] {
+        [
+            self.l1i.delta(&other.l1i),
+            self.l1d.delta(&other.l1d),
+            self.l2.delta(&other.l2),
+        ]
     }
 
     /// Watches exactly the given sets of L1I, L1D and L2 ([`Cache::watch`]).

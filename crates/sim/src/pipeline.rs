@@ -63,37 +63,6 @@ pub enum SimOutcome {
     },
 }
 
-/// Aggregate execution statistics.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct SimStats {
-    /// Elapsed cycles.
-    pub cycles: u64,
-    /// Committed instructions.
-    pub retired: u64,
-    /// Branch mispredictions.
-    pub mispredicts: u64,
-    /// L1I (hits, misses).
-    pub l1i: (u64, u64),
-    /// L1D (hits, misses).
-    pub l1d: (u64, u64),
-    /// L2 (hits, misses).
-    pub l2: (u64, u64),
-    /// Sum over cycles of allocated physical registers (utilization).
-    pub rf_occupancy_sum: u64,
-    /// Register-file read-port operations (source reads at issue).
-    pub rf_reads: u64,
-    /// Register-file write-port operations (results at writeback).
-    pub rf_writes: u64,
-    /// Sum over cycles of occupied ROB entries.
-    pub rob_occupancy_sum: u64,
-    /// Sum over cycles of occupied IQ entries.
-    pub iq_occupancy_sum: u64,
-    /// Sum over cycles of occupied LQ entries.
-    pub lq_occupancy_sum: u64,
-    /// Sum over cycles of occupied SQ entries.
-    pub sq_occupancy_sum: u64,
-}
-
 /// The cycle-level out-of-order simulator.
 #[derive(Debug, Clone)]
 pub struct Sim {
@@ -133,10 +102,6 @@ pub struct Sim {
     output: Vec<u64>,
     cycle: u64,
     retired: u64,
-    mispredicts: u64,
-    rf_reads: u64,
-    rf_writes: u64,
-    stats_occupancy: [u64; 5],
     /// ACE residency tracker (golden runs only; excluded from
     /// [`Sim::state_eq`] — it observes execution without feeding back).
     residency: Option<Box<CoreResidency>>,
@@ -175,34 +140,64 @@ impl WbMasks {
     }
 }
 
-/// One [`Sim::state_divergence`] probe: a component name and whether two
-/// machines differ in that component.
-type Probe = (&'static str, fn(&Sim, &Sim) -> bool);
+/// One execution-relevant component of the machine: the name forensic
+/// records carry, whether two machines differ in it, and whether
+/// [`Sim::delta`] can carry a difference in it.
+struct Component {
+    name: &'static str,
+    differs: fn(&Sim, &Sim) -> bool,
+    in_delta: bool,
+}
 
-/// The probes [`Sim::state_divergence`] runs before the register file, in
-/// order: the cycle counter, front end and execution bookkeeping.
-const PROBES_BEFORE_RF: [Probe; 7] = [
-    ("cycle", |a, b| a.cycle != b.cycle),
-    ("fetch.pc", |a, b| a.fetch_pc != b.fetch_pc),
-    ("fetch.seq", |a, b| a.next_seq != b.next_seq),
-    ("fetch.stall", |a, b| {
+impl Component {
+    /// A component that must be equal for [`Sim::delta`] to exist.
+    const fn exact(name: &'static str, differs: fn(&Sim, &Sim) -> bool) -> Component {
+        Component {
+            name,
+            differs,
+            in_delta: false,
+        }
+    }
+
+    /// A component [`Sim::delta`] carries: the values of allocated
+    /// registers, or the per-set state of a cache.
+    const fn carried(name: &'static str, differs: fn(&Sim, &Sim) -> bool) -> Component {
+        Component {
+            name,
+            differs,
+            in_delta: true,
+        }
+    }
+}
+
+/// Every component [`Sim::state_eq`] compares, cheapest test first: the
+/// cycle counter, front end and execution bookkeeping, the register file,
+/// the queues, in-flight micro-ops and the predictor, then the memory
+/// hierarchy. Guest memory pages and the cache arrays are copy-on-write
+/// chunks, so chunks a fork never unshared are equal by construction and
+/// are not walked.
+const COMPONENTS: [Component; 19] = [
+    Component::exact("cycle", |a, b| a.cycle != b.cycle),
+    Component::exact("fetch.pc", |a, b| a.fetch_pc != b.fetch_pc),
+    Component::exact("fetch.seq", |a, b| a.next_seq != b.next_seq),
+    Component::exact("fetch.stall", |a, b| {
         a.fetch_stall != b.fetch_stall || a.fetch_wait != b.fetch_wait
     }),
-    ("exec.divider", |a, b| a.divider_busy != b.divider_busy),
-    ("exec.in_flight", |a, b| a.in_flight != b.in_flight),
-    ("exec.wb_ready", |a, b| a.wb_ready != b.wb_ready),
-];
-
-/// The probes it runs after the register file and before the memory
-/// hierarchy, in order: the queues, in-flight micro-ops and the predictor.
-const PROBES_AFTER_RF: [Probe; 7] = [
-    ("rob", |a, b| a.rob != b.rob),
-    ("iq", |a, b| !a.iq.state_eq(&b.iq)),
-    ("lq", |a, b| a.lq != b.lq),
-    ("sq", |a, b| a.sq != b.sq),
-    ("decode_q", |a, b| a.decode_q != b.decode_q),
-    ("uops", |a, b| a.uops != b.uops),
-    ("bpred", |a, b| a.bp != b.bp),
+    Component::exact("exec.divider", |a, b| a.divider_busy != b.divider_busy),
+    Component::exact("exec.in_flight", |a, b| a.in_flight != b.in_flight),
+    Component::exact("exec.wb_ready", |a, b| a.wb_ready != b.wb_ready),
+    Component::carried("rf", |a, b| !a.rf.state_eq(&b.rf)),
+    Component::exact("rob", |a, b| a.rob != b.rob),
+    Component::exact("iq", |a, b| !a.iq.state_eq(&b.iq)),
+    Component::exact("lq", |a, b| a.lq != b.lq),
+    Component::exact("sq", |a, b| a.sq != b.sq),
+    Component::exact("decode_q", |a, b| a.decode_q != b.decode_q),
+    Component::exact("uops", |a, b| a.uops != b.uops),
+    Component::exact("bpred", |a, b| a.bp != b.bp),
+    Component::carried("mem.l1i", |a, b| !a.mem.l1i.state_eq(&b.mem.l1i)),
+    Component::carried("mem.l1d", |a, b| !a.mem.l1d.state_eq(&b.mem.l1d)),
+    Component::carried("mem.l2", |a, b| !a.mem.l2.state_eq(&b.mem.l2)),
+    Component::exact("mem", |a, b| a.mem.mem != b.mem.mem),
 ];
 
 impl Sim {
@@ -245,10 +240,6 @@ impl Sim {
             output: Vec::new(),
             cycle: 0,
             retired: 0,
-            mispredicts: 0,
-            rf_reads: 0,
-            rf_writes: 0,
-            stats_occupancy: [0; 5],
             residency: None,
             counters: None,
             wb_masks: None,
@@ -431,11 +422,14 @@ impl Sim {
     }
 
     /// Turns on the microarchitectural event counters (stall cycles,
-    /// squash activity, branch statistics, per-structure occupancy
-    /// histograms). Like residency tracking this is observational only —
-    /// it never feeds back into execution and is excluded from
-    /// [`Sim::state_eq`] — and it is off by default so campaigns pay only
-    /// one branch per cycle for it.
+    /// mispredict recovery, branch statistics, register-file port traffic,
+    /// per-structure occupancy histograms). Call before the first cycle:
+    /// [`Sim::counters`] also reports the cycle, retired and cache hit and
+    /// miss counts the machine keeps from its start, and every counter
+    /// covers the same cycles only when counting starts there. Like
+    /// residency tracking this is observational only — it never feeds back
+    /// into execution and is excluded from [`Sim::state_eq`] — and it is
+    /// off by default so campaigns pay only one branch per cycle for it.
     pub fn enable_counters(&mut self) {
         self.counters = Some(Box::new(CounterState::new([
             self.cfg.phys_regs,
@@ -464,10 +458,14 @@ impl Sim {
             fetch_stall_cycles: c.fetch_stall_cycles,
             issue_stall_cycles: c.issue_stall_cycles,
             commit_stall_cycles: c.commit_stall_cycles,
-            squashes: c.squashes,
             squashed_uops: c.squashed_uops,
             branches: c.branches,
-            mispredicts: self.mispredicts,
+            mispredicts: c.mispredicts,
+            rf_reads: c.rf_reads,
+            rf_writes: c.rf_writes,
+            l1i: (self.mem.l1i.hits, self.mem.l1i.misses),
+            l1d: (self.mem.l1d.hits, self.mem.l1d.misses),
+            l2: (self.mem.l2.hits, self.mem.l2.misses),
             occupancy: (0..5)
                 .map(|i| OccupancyHistogram {
                     name: NAMES[i],
@@ -498,38 +496,20 @@ impl Sim {
         &self.output
     }
 
-    /// Execution statistics so far.
-    pub fn stats(&self) -> SimStats {
-        SimStats {
-            cycles: self.cycle,
-            retired: self.retired,
-            mispredicts: self.mispredicts,
-            l1i: (self.mem.l1i.hits, self.mem.l1i.misses),
-            l1d: (self.mem.l1d.hits, self.mem.l1d.misses),
-            l2: (self.mem.l2.hits, self.mem.l2.misses),
-            rf_occupancy_sum: self.stats_occupancy[0],
-            rf_reads: self.rf_reads,
-            rf_writes: self.rf_writes,
-            rob_occupancy_sum: self.stats_occupancy[1],
-            iq_occupancy_sum: self.stats_occupancy[2],
-            lq_occupancy_sum: self.stats_occupancy[3],
-            sq_occupancy_sum: self.stats_occupancy[4],
-        }
-    }
-
     /// Whether two simulators at the same cycle hold identical
     /// execution-relevant state, so that (by determinism) their futures are
     /// identical.
     ///
-    /// Statistics counters (retired, mispredicts, port traffic, occupancy
-    /// sums, cache hit/miss counts) and the emitted output stream are
-    /// excluded: none of them feed back into execution. Callers deciding a
-    /// fault's outcome compare [`Sim::output`] separately — equal state with
-    /// equal output prefixes means the fault is fully masked, while equal
-    /// state with diverged output means the final output must differ.
+    /// The retired count, the event counters, cache hit and miss counts and
+    /// the emitted output stream are excluded: none of them feed back into
+    /// execution. Callers deciding a fault's outcome compare
+    /// [`Sim::output`] separately — equal state with equal output prefixes
+    /// means the fault is fully masked, while equal state with diverged
+    /// output means the final output must differ.
     ///
-    /// Fields are compared cheapest-first so that actively diverged states
-    /// (the common case while a fault is still live) return quickly.
+    /// Components are compared cheapest-first, in
+    /// [`Sim::DIVERGENCE_COMPONENTS`] order, so that actively diverged
+    /// states (the common case while a fault is still live) return quickly.
     pub fn state_eq(&self, other: &Sim) -> bool {
         self.state_divergence(other).is_none()
     }
@@ -537,30 +517,18 @@ impl Sim {
     /// Every component name [`Sim::state_divergence`] can return, in its
     /// exact probe order. Forensics records persist these names
     /// (`DivergenceSite.component`), so the list is part of the public
-    /// contract: a golden-record test pins it, and any reordering or
-    /// renaming of the probes below must show up here as a deliberate,
-    /// visible change.
-    pub const DIVERGENCE_COMPONENTS: [&'static str; 19] = [
-        "cycle",
-        "fetch.pc",
-        "fetch.seq",
-        "fetch.stall",
-        "exec.divider",
-        "exec.in_flight",
-        "exec.wb_ready",
-        "rf",
-        "rob",
-        "iq",
-        "lq",
-        "sq",
-        "decode_q",
-        "uops",
-        "bpred",
-        "mem.l1i",
-        "mem.l1d",
-        "mem.l2",
-        "mem",
-    ];
+    /// contract: a golden-record test pins it, and it is read off the
+    /// table the probes walk, so reordering or renaming a probe shows up
+    /// here.
+    pub const DIVERGENCE_COMPONENTS: [&'static str; 19] = {
+        let mut names = [""; 19];
+        let mut i = 0;
+        while i < names.len() {
+            names[i] = COMPONENTS[i].name;
+            i += 1;
+        }
+        names
+    };
 
     /// Forks a child simulator for fault injection.
     ///
@@ -596,13 +564,10 @@ impl Sim {
     /// "where did state first diverge" answer the injector records.
     /// The full name list, in probe order, is [`Sim::DIVERGENCE_COMPONENTS`].
     pub fn state_divergence(&self, other: &Sim) -> Option<&'static str> {
-        let differs = |&(name, probe): &Probe| probe(self, other).then_some(name);
-        PROBES_BEFORE_RF
+        COMPONENTS
             .iter()
-            .find_map(differs)
-            .or_else(|| (!self.rf.state_eq(&other.rf)).then_some("rf"))
-            .or_else(|| PROBES_AFTER_RF.iter().find_map(differs))
-            .or_else(|| self.mem.divergence(&other.mem))
+            .find(|c| (c.differs)(self, other))
+            .map(|c| c.name)
     }
 
     /// Every component currently differing from `other`, in
@@ -614,14 +579,11 @@ impl Sim {
     /// answer. Purely observational — it reads both simulators and mutates
     /// neither, so sampling can never perturb classification.
     pub fn divergent_components(&self, other: &Sim) -> Vec<&'static str> {
-        let differs = |&(name, probe): &Probe| probe(self, other).then_some(name);
-        let mut out: Vec<&'static str> = PROBES_BEFORE_RF.iter().filter_map(differs).collect();
-        if !self.rf.state_eq(&other.rf) {
-            out.push("rf");
-        }
-        out.extend(PROBES_AFTER_RF.iter().filter_map(differs));
-        self.mem.divergent_components(&other.mem, &mut out);
-        out
+        COMPONENTS
+            .iter()
+            .filter(|c| (c.differs)(self, other))
+            .map(|c| c.name)
+            .collect()
     }
 
     /// What this machine differs from `golden` in, when that is only
@@ -639,16 +601,16 @@ impl Sim {
     /// differed, but its writeback rewrites it before anything reads it.
     /// [`Sim::watch`] reports when that stops holding.
     pub fn delta(&self, golden: &Sim) -> Option<StateDelta> {
-        if PROBES_BEFORE_RF
+        if COMPONENTS
             .iter()
-            .chain(&PROBES_AFTER_RF)
-            .any(|(_, probe)| probe(self, golden))
+            .any(|c| !c.in_delta && (c.differs)(self, golden))
         {
             return None;
         }
-        let regs = self.rf.delta(&golden.rf)?;
-        let sets = self.mem.cache_delta(&golden.mem)?;
-        Some(StateDelta { regs, sets })
+        Some(StateDelta {
+            regs: self.rf.delta(&golden.rf)?,
+            sets: self.mem.cache_delta(&golden.mem),
+        })
     }
 
     /// Watches exactly the registers and sets of `delta` (nothing when it
@@ -736,27 +698,13 @@ impl Sim {
             self.step_stages_counted()?;
         }
         self.cycle += 1;
-        let occupancy = [
-            self.rf.allocated_count(),
-            self.rob.len(),
-            self.iq.len(),
-            self.lq.len(),
-            self.sq.len(),
-        ];
-        for (sum, occ) in self.stats_occupancy.iter_mut().zip(occupancy) {
-            *sum += occ as u64;
-        }
-        if let Some(c) = self.counters.as_deref_mut() {
-            for (hist, occ) in c.occupancy.iter_mut().zip(occupancy) {
-                hist[occ] += 1;
-            }
-        }
         Ok(())
     }
 
-    /// The stage sequence with before/after probes for the stall counters.
-    /// Kept out of [`Sim::step_cycle`]'s counters-off path so campaigns pay
-    /// only one branch per cycle when counting is disabled.
+    /// The stage sequence with before/after probes for the stall counters,
+    /// then the cycle's occupancy sample. Kept out of [`Sim::step_cycle`]'s
+    /// counters-off path so campaigns pay only one branch per cycle when
+    /// counting is disabled.
     fn step_stages_counted(&mut self) -> Result<(), SimOutcome> {
         let retired_before = self.retired;
         let rob_waiting = !self.rob.is_empty();
@@ -774,10 +722,20 @@ impl Sim {
         let decoded_before = self.decode_q.len();
         self.fetch()?;
         let fetch_stalled = self.decode_q.len() == decoded_before;
+        let occupancy = [
+            self.rf.allocated_count(),
+            self.rob.len(),
+            self.iq.len(),
+            self.lq.len(),
+            self.sq.len(),
+        ];
         let c = self.counters.as_deref_mut().expect("counters enabled");
         c.commit_stall_cycles += commit_stalled as u64;
         c.issue_stall_cycles += issue_stalled as u64;
         c.fetch_stall_cycles += fetch_stalled as u64;
+        for (hist, occ) in c.occupancy.iter_mut().zip(occupancy) {
+            hist[occ] += 1;
+        }
         Ok(())
     }
 
@@ -949,7 +907,9 @@ impl Sim {
                 let value = uop.result;
                 self.rf.write(tag, value);
                 self.rf.set_ready(tag, true);
-                self.rf_writes += 1;
+                if let Some(c) = self.counters.as_deref_mut() {
+                    c.rf_writes += 1;
+                }
                 self.iq.broadcast(tag);
                 let cycle = self.cycle;
                 let pc = uop.pc;
@@ -1234,17 +1194,18 @@ impl Sim {
                 return Err(self.assert_stop("IQ destination field corrupted"));
             }
             let v1 = if p.has_src1 {
-                self.rf_reads += 1;
                 self.rf.read_operand(s1)
             } else {
                 0
             };
             let v2 = if p.has_src2 {
-                self.rf_reads += 1;
                 self.rf.read_operand(s2)
             } else {
                 0
             };
+            if let Some(c) = self.counters.as_deref_mut() {
+                c.rf_reads += u64::from(p.has_src1) + u64::from(p.has_src2);
+            }
             let cycle = self.cycle;
             if let Some(t) = self.residency.as_deref_mut() {
                 if p.has_src1 {
@@ -1583,7 +1544,7 @@ impl Sim {
             discarded += 1;
         }
         if let Some(c) = self.counters.as_deref_mut() {
-            c.squashes += 1;
+            c.mispredicts += 1;
             c.squashed_uops += discarded;
         }
         self.iq.squash_younger(boundary_seq);
@@ -1617,7 +1578,6 @@ impl Sim {
         self.fetch_pc = redirect;
         self.fetch_wait = false;
         self.fetch_stall = 3; // front-end redirect penalty
-        self.mispredicts += 1;
         Ok(())
     }
 }

@@ -16,7 +16,7 @@
 use proptest::prelude::*;
 use softerr::{
     CampaignConfig, Compiler, FaultClass, Injector, MachineConfig, OptLevel, Program, PruneMode,
-    SamplerKind, SamplingPlan, Sim, SimOutcome, Structure,
+    SamplerKind, SamplingPlan, Scale, Sim, SimOutcome, Structure, Workload,
 };
 use std::sync::OnceLock;
 
@@ -306,7 +306,7 @@ fn transient_extra_miss_child_is_classified_by_convergence() {
                     if runner.run_to_cycle(stop).is_some() || child.run_to_cycle(stop).is_some() {
                         break; // someone halted early: not this candidate
                     }
-                    let extra_miss = child.stats().l1i.1 > runner.stats().l1i.1;
+                    let extra_miss = child.mem.l1i.misses > runner.mem.l1i.misses;
                     if extra_miss && child.state_eq(&runner) {
                         // Converged mid-run with the extra miss on record:
                         // the convoy classifies this child on the spot.
@@ -383,6 +383,37 @@ fn divergence_component_names_are_pinned() {
     let mut child = golden.fork();
     assert!(child.run_to_cycle(301).is_none());
     assert_eq!(child.state_divergence(&golden), Some("cycle"));
+
+    // The walk itself: 32 cycles after an `iq.src` flip on A72 sha at O2,
+    // the child differs on both sides of `rf`. `state_divergence` names the
+    // first component in probe order; `divergent_components` lists every
+    // one, in that order.
+    let machine = MachineConfig::cortex_a72();
+    let program = Compiler::new(machine.profile, OptLevel::O2)
+        .compile(&Workload::Sha.source(Scale::Tiny))
+        .expect("sha compiles")
+        .program;
+    let mut golden = Sim::new(&machine, &program);
+    assert!(golden.run_to_cycle(15_968).is_none());
+    let mut child = golden.fork();
+    child.flip_bit(Structure::IqSrc, 132);
+    assert_eq!(child.divergent_components(&golden), ["iq"]);
+    assert!(golden.run_to_cycle(16_000).is_none());
+    assert!(child.run_to_cycle(16_000).is_none());
+    assert_eq!(
+        child.divergent_components(&golden),
+        [
+            "exec.in_flight",
+            "rf",
+            "rob",
+            "iq",
+            "lq",
+            "sq",
+            "uops",
+            "mem.l1d"
+        ]
+    );
+    assert_eq!(child.state_divergence(&golden), Some("exec.in_flight"));
 }
 
 /// Dead state is not divergence: a flip in the tag, dirty bit or data of

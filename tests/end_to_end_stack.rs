@@ -46,10 +46,12 @@ fn register_pressure_rises_with_optimization() {
                     .compile(&w.source(Scale::Tiny))
                     .unwrap();
                 let mut sim = Sim::new(&machine, &compiled.program);
+                sim.enable_counters();
                 let SimOutcome::Halted { cycles, .. } = sim.run(1_000_000_000) else {
                     panic!("did not halt")
                 };
-                sim.stats().rf_reads as f64 / cycles as f64
+                let c = sim.counters().expect("counters enabled");
+                c.rf_reads as f64 / cycles as f64
             };
             let o0 = reads_per_cycle(OptLevel::O0);
             let o1 = reads_per_cycle(OptLevel::O1);
